@@ -8,6 +8,20 @@
 namespace rtm
 {
 
+constexpr EnumToken<PeccVariant> kVariantRows[] = {
+    {PeccVariant::None, "none"},
+    {PeccVariant::Standard, "std"},
+    {PeccVariant::OverheadRegion, "overhead"},
+    {PeccVariant::DelIns, "del-ins"},
+};
+constexpr EnumTokens<PeccVariant> kVariantTokens("variant", kVariantRows);
+
+const EnumTokens<PeccVariant> &
+enumTokens(PeccVariant)
+{
+    return kVariantTokens;
+}
+
 namespace
 {
 
@@ -75,12 +89,18 @@ extraDomainsAtStrength(const PeccConfig &c, int m, int w)
 } // anonymous namespace
 
 int
+pooledCorrect(int correct, int codeword_frames)
+{
+    for (int f = codeword_frames; f > 1; f >>= 1)
+        ++correct;
+    return correct;
+}
+
+int
 PeccConfig::effectiveCorrect() const
 {
-    int boost = 0;
-    for (int f = codeword_frames; f > 1; f >>= 1)
-        ++boost;
-    return std::min(correct + boost, seg_len - 1);
+    return std::min(pooledCorrect(correct, codeword_frames),
+                    seg_len - 1);
 }
 
 std::string
@@ -108,14 +128,11 @@ protectionGeometryError(const PeccConfig &config, int frames_per_group)
         // The pooled redundancy must still fit the stripe tail: a
         // position code can only represent offsets up to Lseg - 1,
         // so the boosted strength may not exceed it.
-        int boost = 0;
-        for (int g = f; g > 1; g >>= 1)
-            ++boost;
-        if (config.correct + boost > config.seg_len - 1)
+        const int pooled = pooledCorrect(config.correct, f);
+        if (pooled > config.seg_len - 1)
             return "redundancy for " + std::to_string(f) +
                    "-frame codewords does not fit the stripe tail "
-                   "(m + log2(F) = " +
-                   std::to_string(config.correct + boost) +
+                   "(m + log2(F) = " + std::to_string(pooled) +
                    " exceeds Lseg - 1 = " +
                    std::to_string(config.seg_len - 1) + ")";
     }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "device/stripe.hh"
+#include "util/enum_tokens.hh"
 
 namespace rtm
 {
@@ -50,6 +51,9 @@ enum class PeccVariant
     OverheadRegion, //!< p-ECC-O: code in overhead regions (4.2.4)
     DelIns          //!< interleaved-VT del/ins code (codec/del_ins.hh)
 };
+
+/** The PeccVariant token table (spec/journal "variant" field). */
+const EnumTokens<PeccVariant> &enumTokens(PeccVariant);
 
 /** Configuration of one protected stripe. */
 struct PeccConfig
@@ -108,12 +112,19 @@ struct PeccConfig
     }
 
     /**
-     * Correction strength of the pooled codeword: m + log2(F) for F
-     * frames per codeword, capped at Lseg - 1 (the largest offset a
-     * per-stripe position code can represent). F = 1 is exactly m.
+     * Correction strength of the pooled codeword,
+     * pooledCorrect(correct, codeword_frames), capped at Lseg - 1
+     * (the largest offset a per-stripe position code can represent).
      */
     int effectiveCorrect() const;
 };
+
+/**
+ * Correction strength of a codeword pooling `codeword_frames` frames
+ * of a strength-`correct` code: the shared redundancy region buys
+ * m + log2(F). F = 1 is exactly m.
+ */
+int pooledCorrect(int correct, int codeword_frames);
 
 /**
  * Non-fatal geometry diagnosis for spec-driven configuration: empty

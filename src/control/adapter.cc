@@ -8,6 +8,21 @@
 namespace rtm
 {
 
+constexpr EnumToken<ShiftPolicy> kShiftPolicyRows[] = {
+    {ShiftPolicy::Unconstrained, "unconstrained"},
+    {ShiftPolicy::StepByStep, "step"},
+    {ShiftPolicy::WorstCase, "worst"},
+    {ShiftPolicy::Adaptive, "adaptive"},
+};
+constexpr EnumTokens<ShiftPolicy> kShiftPolicyTokens("shift policy",
+                                                     kShiftPolicyRows);
+
+const EnumTokens<ShiftPolicy> &
+enumTokens(ShiftPolicy)
+{
+    return kShiftPolicyTokens;
+}
+
 ShiftAdapter::ShiftAdapter(const ShiftPlanner *planner,
                            ShiftPolicy policy,
                            double peak_ops_per_second)

@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "control/planner.hh"
+#include "util/enum_tokens.hh"
 
 namespace rtm
 {
@@ -35,6 +36,9 @@ enum class ShiftPolicy
     WorstCase,      //!< fixed safe distance from peak intensity
     Adaptive        //!< run-time interval-based selection
 };
+
+/** The ShiftPolicy token table (spec "policy" field). */
+const EnumTokens<ShiftPolicy> &enumTokens(ShiftPolicy);
 
 /**
  * Stateful policy engine: owns the interval counter and consults the

@@ -3,32 +3,31 @@
 namespace rtm
 {
 
+constexpr EnumToken<HeadPolicy> kHeadPolicyRows[] = {
+    {HeadPolicy::Stay, "stay"},
+    {HeadPolicy::ReturnHome, "return-home", nullptr, "home"},
+    {HeadPolicy::Center, "center"},
+    {HeadPolicy::Predictive, "predictive"},
+};
+constexpr EnumTokens<HeadPolicy> kHeadPolicyTokens("head policy",
+                                                   kHeadPolicyRows);
+
+const EnumTokens<HeadPolicy> &
+enumTokens(HeadPolicy)
+{
+    return kHeadPolicyTokens;
+}
+
 const char *
 headPolicyName(HeadPolicy policy)
 {
-    switch (policy) {
-      case HeadPolicy::Stay: return "stay";
-      case HeadPolicy::ReturnHome: return "return-home";
-      case HeadPolicy::Center: return "center";
-      case HeadPolicy::Predictive: return "predictive";
-    }
-    return "?";
+    return kHeadPolicyTokens.token(policy);
 }
 
 bool
 headPolicyFromToken(const std::string &token, HeadPolicy *out)
 {
-    if (token == "stay")
-        *out = HeadPolicy::Stay;
-    else if (token == "return-home" || token == "home")
-        *out = HeadPolicy::ReturnHome;
-    else if (token == "center")
-        *out = HeadPolicy::Center;
-    else if (token == "predictive")
-        *out = HeadPolicy::Predictive;
-    else
-        return false;
-    return true;
+    return kHeadPolicyTokens.parse(token, out);
 }
 
 } // namespace rtm

@@ -18,6 +18,8 @@
 
 #include <string>
 
+#include "util/enum_tokens.hh"
+
 namespace rtm
 {
 
@@ -39,6 +41,9 @@ const char *headPolicyName(HeadPolicy policy);
  * unknown input.
  */
 bool headPolicyFromToken(const std::string &token, HeadPolicy *out);
+
+/** The HeadPolicy token table ("home" is an alias). */
+const EnumTokens<HeadPolicy> &enumTokens(HeadPolicy);
 
 } // namespace rtm
 

@@ -7,6 +7,22 @@
 namespace rtm
 {
 
+constexpr EnumToken<ScenarioKind> kScenarioKindRows[] = {
+    {ScenarioKind::Iid, "iid"},
+    {ScenarioKind::Burst, "burst"},
+    {ScenarioKind::StuckStripe, "stuck-stripe"},
+    {ScenarioKind::Droop, "droop"},
+    {ScenarioKind::Skew, "skew"},
+};
+constexpr EnumTokens<ScenarioKind> kScenarioKindTokens("scenario kind",
+                                                       kScenarioKindRows);
+
+const EnumTokens<ScenarioKind> &
+enumTokens(ScenarioKind)
+{
+    return kScenarioKindTokens;
+}
+
 void
 InjectionLedger::merge(const InjectionLedger &other)
 {

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "device/error_model.hh"
+#include "util/enum_tokens.hh"
 
 namespace rtm
 {
@@ -242,6 +243,9 @@ enum class ScenarioKind
     Skew
 };
 
+/** The ScenarioKind token table (spec "kind" field). */
+const EnumTokens<ScenarioKind> &enumTokens(ScenarioKind);
+
 /** Declarative scenario description (campaign configuration). */
 struct ScenarioSpec
 {
@@ -266,25 +270,7 @@ struct ScenarioSpec
     uint64_t stripe_id = 7;
     double skew_sigma = 0.6;
 
-    /** Field-wise equality (spec round-trip tests). */
-    bool operator==(const ScenarioSpec &o) const
-    {
-        return kind == o.kind && name == o.name &&
-               burst_period == o.burst_period &&
-               burst_len == o.burst_len &&
-               burst_multiplier == o.burst_multiplier &&
-               stuck_after == o.stuck_after &&
-               stuck_len == o.stuck_len &&
-               droop_period == o.droop_period &&
-               droop_len == o.droop_len &&
-               droop_undershoot_prob == o.droop_undershoot_prob &&
-               stripe_id == o.stripe_id &&
-               skew_sigma == o.skew_sigma;
-    }
-    bool operator!=(const ScenarioSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ScenarioSpec &o) const = default;
 };
 
 /** Build a scenario instance over `base` from a spec. */

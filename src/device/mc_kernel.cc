@@ -6,24 +6,28 @@
 namespace rtm
 {
 
+constexpr EnumToken<McTier> kTierRows[] = {
+    {McTier::Exact, "exact"},
+    {McTier::Fast, "fast"},
+};
+constexpr EnumTokens<McTier> kTierTokens("tier", kTierRows);
+
+const EnumTokens<McTier> &
+enumTokens(McTier)
+{
+    return kTierTokens;
+}
+
 const char *
 mcTierToken(McTier tier)
 {
-    return tier == McTier::Fast ? "fast" : "exact";
+    return kTierTokens.token(tier);
 }
 
 bool
 mcTierFromToken(const std::string &token, McTier *tier)
 {
-    if (token == "exact") {
-        *tier = McTier::Exact;
-        return true;
-    }
-    if (token == "fast") {
-        *tier = McTier::Fast;
-        return true;
-    }
-    return false;
+    return kTierTokens.parse(token, tier);
 }
 
 namespace

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/enum_tokens.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 
@@ -50,6 +51,9 @@ const char *mcTierToken(McTier tier);
 
 /** Parse a tier token; false (and *tier untouched) when unknown. */
 bool mcTierFromToken(const std::string &token, McTier *tier);
+
+/** The McTier token table. */
+const EnumTokens<McTier> &enumTokens(McTier);
 
 /** Trials per SoA batch (and the fast tier's shard granule). */
 constexpr uint64_t kMcBatchTrials = 256;

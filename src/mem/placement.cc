@@ -8,29 +8,30 @@
 namespace rtm
 {
 
+constexpr EnumToken<PlacementKind> kPlacementRows[] = {
+    {PlacementKind::Static, "static"},
+    {PlacementKind::HotCenter, "hot-center"},
+    {PlacementKind::Adaptive, "adaptive"},
+};
+constexpr EnumTokens<PlacementKind> kPlacementTokens("placement policy",
+                                                     kPlacementRows);
+
+const EnumTokens<PlacementKind> &
+enumTokens(PlacementKind)
+{
+    return kPlacementTokens;
+}
+
 const char *
 placementKindName(PlacementKind kind)
 {
-    switch (kind) {
-      case PlacementKind::Static: return "static";
-      case PlacementKind::HotCenter: return "hot-center";
-      case PlacementKind::Adaptive: return "adaptive";
-    }
-    return "?";
+    return kPlacementTokens.token(kind);
 }
 
 bool
 placementKindFromToken(const std::string &token, PlacementKind *out)
 {
-    if (token == "static")
-        *out = PlacementKind::Static;
-    else if (token == "hot-center")
-        *out = PlacementKind::HotCenter;
-    else if (token == "adaptive")
-        *out = PlacementKind::Adaptive;
-    else
-        return false;
-    return true;
+    return kPlacementTokens.parse(token, out);
 }
 
 PlacementPolicy::PlacementPolicy(const PlacementGeometry &geom,

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "control/head_policy.hh"
+#include "util/enum_tokens.hh"
 
 namespace rtm
 {
@@ -64,6 +65,9 @@ const char *placementKindName(PlacementKind kind);
 /** Parse a placement token; returns false on unknown input. */
 bool placementKindFromToken(const std::string &token,
                             PlacementKind *out);
+
+/** The PlacementKind token table. */
+const EnumTokens<PlacementKind> &enumTokens(PlacementKind);
 
 /** Placement configuration carried by RmBankConfig. */
 struct PlacementConfig

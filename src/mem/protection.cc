@@ -57,30 +57,31 @@ ProtectionPolicy::isDefault() const
     return true;
 }
 
+constexpr EnumToken<ProtectionScopeKind> kScopeRows[] = {
+    {ProtectionScopeKind::Uniform, "uniform"},
+    {ProtectionScopeKind::PerLevel, "per-level"},
+    {ProtectionScopeKind::AddressRegion, "regions"},
+};
+constexpr EnumTokens<ProtectionScopeKind> kScopeTokens("protection kind",
+                                                       kScopeRows);
+
+const EnumTokens<ProtectionScopeKind> &
+enumTokens(ProtectionScopeKind)
+{
+    return kScopeTokens;
+}
+
 const char *
 protectionKindToken(ProtectionScopeKind kind)
 {
-    switch (kind) {
-      case ProtectionScopeKind::Uniform: return "uniform";
-      case ProtectionScopeKind::PerLevel: return "per-level";
-      case ProtectionScopeKind::AddressRegion: return "regions";
-    }
-    return "uniform";
+    return kScopeTokens.token(kind);
 }
 
 bool
 protectionKindFromToken(const std::string &token,
                         ProtectionScopeKind *out)
 {
-    if (token == "uniform")
-        *out = ProtectionScopeKind::Uniform;
-    else if (token == "per-level")
-        *out = ProtectionScopeKind::PerLevel;
-    else if (token == "regions")
-        *out = ProtectionScopeKind::AddressRegion;
-    else
-        return false;
-    return true;
+    return kScopeTokens.parse(token, out);
 }
 
 bool

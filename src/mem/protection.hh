@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "model/tech.hh"
+#include "util/enum_tokens.hh"
 
 namespace rtm
 {
@@ -68,17 +69,7 @@ struct ProtectionDomain
         return !has_scheme && codeword_frames == 1 && !two_tier;
     }
 
-    bool operator==(const ProtectionDomain &o) const
-    {
-        return has_scheme == o.has_scheme &&
-               (!has_scheme || scheme == o.scheme) &&
-               codeword_frames == o.codeword_frames &&
-               two_tier == o.two_tier;
-    }
-    bool operator!=(const ProtectionDomain &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ProtectionDomain &o) const = default;
 };
 
 /** One address-region entry: [begin, end) fractions of the frames. */
@@ -88,11 +79,7 @@ struct ProtectionRegion
     double end = 1.0;   //!< exclusive fraction of the frame space
     ProtectionDomain domain;
 
-    bool operator==(const ProtectionRegion &o) const
-    {
-        return begin == o.begin && end == o.end &&
-               domain == o.domain;
-    }
+    bool operator==(const ProtectionRegion &o) const = default;
 };
 
 /** Named per-cache-level entry (kind == PerLevel). */
@@ -101,10 +88,7 @@ struct ProtectionLevel
     std::string level; //!< "l1" | "l2" | "llc"
     ProtectionDomain domain;
 
-    bool operator==(const ProtectionLevel &o) const
-    {
-        return level == o.level && domain == o.domain;
-    }
+    bool operator==(const ProtectionLevel &o) const = default;
 };
 
 /**
@@ -131,15 +115,7 @@ struct ProtectionPolicy
     /** True for the paper's configuration (no-op everywhere). */
     bool isDefault() const;
 
-    bool operator==(const ProtectionPolicy &o) const
-    {
-        return kind == o.kind && uniform == o.uniform &&
-               levels == o.levels && regions == o.regions;
-    }
-    bool operator!=(const ProtectionPolicy &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ProtectionPolicy &o) const = default;
 };
 
 /** Token for a scope kind ("uniform" | "per-level" | "regions"). */
@@ -148,6 +124,9 @@ const char *protectionKindToken(ProtectionScopeKind kind);
 /** Inverse of protectionKindToken; false on an unknown token. */
 bool protectionKindFromToken(const std::string &token,
                              ProtectionScopeKind *out);
+
+/** The ProtectionScopeKind token table. */
+const EnumTokens<ProtectionScopeKind> &enumTokens(ProtectionScopeKind);
 
 /**
  * Bank-resolved form of a policy: the base (llc) domain plus, for

@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "codec/layout.hh"
 #include "util/logging.hh"
 #include "util/prob.hh"
 
@@ -42,10 +43,7 @@ ReliabilityModel::ReliabilityModel(const PositionErrorModel *model,
         // boosted radius does not fit the stripe tail). Re-derive
         // the code at the boosted strength so the classification
         // walk below sees the larger radius.
-        int boost = 0;
-        for (int f = codeword_frames; f > 1; f >>= 1)
-            ++boost;
-        correct_ += boost;
+        correct_ = pooledCorrect(correct_, codeword_frames);
         if (scheme == Scheme::DelIns) {
             code_ = std::make_shared<DelInsShiftCode>(correct_);
         } else {

@@ -5,44 +5,49 @@
 namespace rtm
 {
 
+constexpr EnumToken<MemTech> kMemTechRows[] = {
+    {MemTech::SRAM, "sram", "SRAM"},
+    {MemTech::STTRAM, "sttram", "STT-RAM"},
+    {MemTech::Racetrack, "rm", "RM"},
+    {MemTech::RacetrackIdeal, "rm-ideal", "RM-Ideal"},
+};
+constexpr EnumTokens<MemTech> kMemTechTokens("tech", kMemTechRows);
+
+constexpr EnumToken<Scheme> kSchemeRows[] = {
+    {Scheme::Baseline, "baseline", "Baseline"},
+    {Scheme::Sts, "sts", "STS"},
+    {Scheme::SedPecc, "sed", "SED p-ECC"},
+    {Scheme::SecdedPecc, "secded", "SECDED p-ECC"},
+    {Scheme::PeccO, "pecc-o", "SECDED p-ECC-O"},
+    {Scheme::PeccSWorst, "worst", "p-ECC-S worst"},
+    {Scheme::PeccSAdaptive, "adaptive", "p-ECC-S adaptive"},
+    {Scheme::LmPos, "lm-pos"},
+    {Scheme::DelIns, "del-ins-k"},
+};
+constexpr EnumTokens<Scheme> kSchemeTokens("scheme", kSchemeRows);
+
+const EnumTokens<MemTech> &
+enumTokens(MemTech)
+{
+    return kMemTechTokens;
+}
+
 const char *
 memTechName(MemTech tech)
 {
-    switch (tech) {
-      case MemTech::SRAM: return "SRAM";
-      case MemTech::STTRAM: return "STT-RAM";
-      case MemTech::Racetrack: return "RM";
-      case MemTech::RacetrackIdeal: return "RM-Ideal";
-    }
-    return "?";
+    return kMemTechTokens.name(tech);
 }
 
 const char *
 techToken(MemTech tech)
 {
-    switch (tech) {
-      case MemTech::SRAM: return "sram";
-      case MemTech::STTRAM: return "sttram";
-      case MemTech::Racetrack: return "rm";
-      case MemTech::RacetrackIdeal: return "rm-ideal";
-    }
-    return "?";
+    return kMemTechTokens.token(tech);
 }
 
 bool
 techFromToken(const std::string &token, MemTech *out)
 {
-    if (token == "sram")
-        *out = MemTech::SRAM;
-    else if (token == "sttram")
-        *out = MemTech::STTRAM;
-    else if (token == "rm")
-        *out = MemTech::Racetrack;
-    else if (token == "rm-ideal")
-        *out = MemTech::RacetrackIdeal;
-    else
-        return false;
-    return true;
+    return kMemTechTokens.parse(token, out);
 }
 
 TechParams
@@ -145,64 +150,28 @@ dramParams()
     return DramParams{};
 }
 
+const EnumTokens<Scheme> &
+enumTokens(Scheme)
+{
+    return kSchemeTokens;
+}
+
 const char *
 schemeName(Scheme scheme)
 {
-    switch (scheme) {
-      case Scheme::Baseline: return "Baseline";
-      case Scheme::Sts: return "STS";
-      case Scheme::SedPecc: return "SED p-ECC";
-      case Scheme::SecdedPecc: return "SECDED p-ECC";
-      case Scheme::PeccO: return "SECDED p-ECC-O";
-      case Scheme::PeccSWorst: return "p-ECC-S worst";
-      case Scheme::PeccSAdaptive: return "p-ECC-S adaptive";
-      case Scheme::LmPos: return "lm-pos";
-      case Scheme::DelIns: return "del-ins-k";
-    }
-    return "?";
+    return kSchemeTokens.name(scheme);
 }
 
 const char *
 schemeToken(Scheme scheme)
 {
-    switch (scheme) {
-      case Scheme::Baseline: return "baseline";
-      case Scheme::Sts: return "sts";
-      case Scheme::SedPecc: return "sed";
-      case Scheme::SecdedPecc: return "secded";
-      case Scheme::PeccO: return "pecc-o";
-      case Scheme::PeccSWorst: return "worst";
-      case Scheme::PeccSAdaptive: return "adaptive";
-      case Scheme::LmPos: return "lm-pos";
-      case Scheme::DelIns: return "del-ins-k";
-    }
-    return "?";
+    return kSchemeTokens.token(scheme);
 }
 
 bool
 schemeFromToken(const std::string &token, Scheme *out)
 {
-    if (token == "baseline")
-        *out = Scheme::Baseline;
-    else if (token == "sts")
-        *out = Scheme::Sts;
-    else if (token == "sed")
-        *out = Scheme::SedPecc;
-    else if (token == "secded")
-        *out = Scheme::SecdedPecc;
-    else if (token == "pecc-o")
-        *out = Scheme::PeccO;
-    else if (token == "worst")
-        *out = Scheme::PeccSWorst;
-    else if (token == "adaptive")
-        *out = Scheme::PeccSAdaptive;
-    else if (token == "lm-pos")
-        *out = Scheme::LmPos;
-    else if (token == "del-ins-k")
-        *out = Scheme::DelIns;
-    else
-        return false;
-    return true;
+    return kSchemeTokens.parse(token, out);
 }
 
 int

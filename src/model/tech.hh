@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/enum_tokens.hh"
 #include "util/units.hh"
 
 namespace rtm
@@ -42,6 +43,9 @@ const char *techToken(MemTech tech);
 
 /** Parse a technology token; false (out untouched) when unknown. */
 bool techFromToken(const std::string &token, MemTech *out);
+
+/** The MemTech token table (tokens plus display names). */
+const EnumTokens<MemTech> &enumTokens(MemTech);
 
 /** Timing/energy/capacity description of one cache technology. */
 struct TechParams
@@ -118,6 +122,9 @@ const char *schemeToken(Scheme scheme);
 
 /** Parse a scheme token; false (out untouched) when unknown. */
 bool schemeFromToken(const std::string &token, Scheme *out);
+
+/** The Scheme token table (tokens plus display names). */
+const EnumTokens<Scheme> &enumTokens(Scheme);
 
 /**
  * Correction radius the scheme's shift code claims: the largest

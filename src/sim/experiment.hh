@@ -77,17 +77,7 @@ struct ResilienceSpec
     uint64_t cell_deadline_ms = 0; //!< per-cell watchdog (0 = none)
     uint64_t run_deadline_ms = 0;  //!< whole-run watchdog (0 = none)
 
-    bool operator==(const ResilienceSpec &o) const
-    {
-        return retry_budget == o.retry_budget &&
-               backoff_ms == o.backoff_ms &&
-               cell_deadline_ms == o.cell_deadline_ms &&
-               run_deadline_ms == o.run_deadline_ms;
-    }
-    bool operator!=(const ResilienceSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ResilienceSpec &o) const = default;
 };
 
 /**
@@ -246,17 +236,7 @@ struct MatrixSpec
     /** LLC options; empty = standardLlcOptions(). */
     std::vector<LlcOption> options;
 
-    bool operator==(const MatrixSpec &o) const
-    {
-        return enabled == o.enabled && requests == o.requests &&
-               warmup == o.warmup && divisor == o.divisor &&
-               seed == o.seed && workloads == o.workloads &&
-               options == o.options;
-    }
-    bool operator!=(const MatrixSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const MatrixSpec &o) const = default;
 };
 
 /** Campaign section: fault scenarios x workloads (sim/campaign.hh). */
@@ -271,10 +251,6 @@ struct CampaignSpec
     std::vector<std::string> workloads;
 
     bool operator==(const CampaignSpec &o) const;
-    bool operator!=(const CampaignSpec &o) const
-    {
-        return !(*this == o);
-    }
 };
 
 /**
@@ -293,16 +269,7 @@ struct StressSpec
     int lseg = 8;
     uint64_t seed = 1;
 
-    bool operator==(const StressSpec &o) const
-    {
-        return enabled == o.enabled && scheme == o.scheme &&
-               scale == o.scale && ops == o.ops &&
-               lseg == o.lseg && seed == o.seed;
-    }
-    bool operator!=(const StressSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const StressSpec &o) const = default;
 };
 
 /**
@@ -320,16 +287,7 @@ struct McSpec
     uint64_t seed = 12345;
     std::string tier = "exact"; //!< exact | fast
 
-    bool operator==(const McSpec &o) const
-    {
-        return enabled == o.enabled && distance == o.distance &&
-               trials == o.trials && fit_trials == o.fit_trials &&
-               seed == o.seed && tier == o.tier;
-    }
-    bool operator!=(const McSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const McSpec &o) const = default;
 };
 
 /** One declarative experiment: every section plus output sinks. */
@@ -357,21 +315,7 @@ struct ExperimentSpec
     std::string trace_path;   //!< Chrome trace_event JSON
     std::string output_path;  //!< unified result JSON
 
-    bool operator==(const ExperimentSpec &o) const
-    {
-        return name == o.name && matrix == o.matrix &&
-               campaign == o.campaign && stress == o.stress &&
-               montecarlo == o.montecarlo &&
-               resilience == o.resilience &&
-               protection == o.protection &&
-               metrics_path == o.metrics_path &&
-               trace_path == o.trace_path &&
-               output_path == o.output_path;
-    }
-    bool operator!=(const ExperimentSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ExperimentSpec &o) const = default;
 };
 
 /**
@@ -431,16 +375,7 @@ struct ExperimentCell
     /** Short human-readable cell name for diagnostics. */
     std::string label() const;
 
-    bool operator==(const ExperimentCell &o) const
-    {
-        return kind == o.kind && local_index == o.local_index &&
-               workload == o.workload && option == o.option &&
-               scenario == o.scenario;
-    }
-    bool operator!=(const ExperimentCell &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ExperimentCell &o) const = default;
 };
 
 /**

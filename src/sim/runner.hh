@@ -33,18 +33,7 @@ struct LlcOption
     int placement_swap_budget = 4;  //!< adaptive swaps per epoch
     HeadPolicy head_policy = HeadPolicy::Stay;
 
-    bool operator==(const LlcOption &o) const
-    {
-        return label == o.label && tech == o.tech &&
-               scheme == o.scheme && placement == o.placement &&
-               placement_epoch == o.placement_epoch &&
-               placement_swap_budget == o.placement_swap_budget &&
-               head_policy == o.head_policy;
-    }
-    bool operator!=(const LlcOption &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const LlcOption &o) const = default;
 };
 
 /** The paper's standard comparison set (Fig. 16-18 legends). */

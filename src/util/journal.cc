@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/fields.hh"
 #include "util/hash.hh"
 
 namespace rtm
@@ -45,6 +46,21 @@ unframeLine(const std::string &line, std::string *payload)
     return crc32(payload->data(), payload->size()) == want;
 }
 
+constexpr Field<JournalHeader> kSeedFields[] = {
+    field<&JournalHeader::matrix_seed>("matrix"),
+    field<&JournalHeader::campaign_seed>("campaign"),
+    field<&JournalHeader::stress_seed>("stress"),
+    field<&JournalHeader::mc_seed>("montecarlo"),
+};
+
+constexpr Field<JournalHeader> kHeaderFields[] = {
+    field<&JournalHeader::version>("version"),
+    field<&JournalHeader::name>("name"),
+    field<&JournalHeader::spec_sha256>("spec_sha256"),
+    nested<kSeedFields>("seeds"),
+    field<&JournalHeader::cells>("cells"),
+};
+
 } // anonymous namespace
 
 JsonValue
@@ -52,51 +68,16 @@ journalHeaderToJson(const JournalHeader &header)
 {
     JsonValue v = JsonValue::object();
     v.set("type", "header");
-    v.set("version", header.version);
-    v.set("name", header.name);
-    v.set("spec_sha256", header.spec_sha256);
-    JsonValue seeds = JsonValue::object();
-    seeds.set("matrix", header.matrix_seed);
-    seeds.set("campaign", header.campaign_seed);
-    seeds.set("stress", header.stress_seed);
-    seeds.set("montecarlo", header.mc_seed);
-    v.set("seeds", std::move(seeds));
-    v.set("cells", header.cells);
+    emitFields(kHeaderFields, header, &v);
     return v;
 }
 
 bool
 journalHeaderFromJson(const JsonValue &doc, JournalHeader *header)
 {
-    if (!doc.isObject())
-        return false;
-    const JsonValue *type = doc.find("type");
-    if (!type || !type->isString() ||
-        type->asString() != "header")
-        return false;
-    JournalHeader out;
-    if (const JsonValue *v = doc.find("version"))
-        out.version = v->asInt();
-    if (const JsonValue *v = doc.find("name"))
-        out.name = v->asString();
-    const JsonValue *hash = doc.find("spec_sha256");
-    if (!hash || !hash->isString())
-        return false;
-    out.spec_sha256 = hash->asString();
-    if (const JsonValue *seeds = doc.find("seeds")) {
-        if (const JsonValue *v = seeds->find("matrix"))
-            out.matrix_seed = v->asU64();
-        if (const JsonValue *v = seeds->find("campaign"))
-            out.campaign_seed = v->asU64();
-        if (const JsonValue *v = seeds->find("stress"))
-            out.stress_seed = v->asU64();
-        if (const JsonValue *v = seeds->find("montecarlo"))
-            out.mc_seed = v->asU64();
-    }
-    if (const JsonValue *v = doc.find("cells"))
-        out.cells = v->asU64();
-    *header = std::move(out);
-    return true;
+    const JsonValue *type = doc.isObject() ? doc.find("type") : nullptr;
+    return type && type->isString() && type->asString() == "header" &&
+           loadFields(kHeaderFields, doc, header);
 }
 
 bool

@@ -1,6 +1,7 @@
 #include "serde.hh"
 
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -57,18 +58,40 @@ JsonValue::asDouble(double fallback) const
     return isNumber() ? num_ : fallback;
 }
 
+namespace
+{
+
+// 2^64 is exact as a double; every double below it converts to
+// uint64_t without overflow (a NaN fails both comparisons).
+constexpr double kU64Limit = 18446744073709551616.0;
+
+bool
+fitsU64(double v)
+{
+    return v >= 0.0 && v < kU64Limit;
+}
+
+bool
+fitsInt(double v)
+{
+    return v > static_cast<double>(INT_MIN) - 1.0 &&
+           v < static_cast<double>(INT_MAX) + 1.0;
+}
+
+} // namespace
+
 uint64_t
 JsonValue::asU64(uint64_t fallback) const
 {
-    if (!isNumber() || num_ < 0.0)
-        return fallback;
-    return static_cast<uint64_t>(num_);
+    return isNumber() && fitsU64(num_) ? static_cast<uint64_t>(num_)
+                                       : fallback;
 }
 
 int
 JsonValue::asInt(int fallback) const
 {
-    return isNumber() ? static_cast<int>(num_) : fallback;
+    return isNumber() && fitsInt(num_) ? static_cast<int>(num_)
+                                       : fallback;
 }
 
 const JsonValue *
@@ -257,6 +280,14 @@ JsonValue::dump(int indent) const
 namespace
 {
 
+/**
+ * Deepest value nesting the parser accepts. Spec documents
+ * and journal records nest a handful of levels; the cap turns a
+ * hostile "[[[[..." into a positioned error instead of a stack
+ * overflow.
+ */
+constexpr int kMaxJsonDepth = 512;
+
 class JsonParser
 {
   public:
@@ -417,6 +448,17 @@ class JsonParser
 
     bool parseValue(JsonValue *out)
     {
+        if (depth_ == kMaxJsonDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxJsonDepth) + " levels");
+        ++depth_;
+        const bool ok = parseAny(out);
+        --depth_;
+        return ok;
+    }
+
+    bool parseAny(JsonValue *out)
+    {
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
         char c = text_[pos_];
@@ -518,6 +560,7 @@ class JsonParser
     const std::string &text_;
     std::string *error_;
     size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace
@@ -635,6 +678,14 @@ SpecReader::SpecReader(const JsonValue &value, std::string path,
     }
 }
 
+SpecReader::SpecReader(const SpecReader &parent, const std::string &key,
+                       const JsonValue &value)
+    : SpecReader(value,
+                 parent.path_.empty() ? key : parent.path_ + "." + key,
+                 parent.diag_)
+{
+}
+
 void
 SpecReader::fail(const std::string &key,
                  const std::string &msg) const
@@ -683,26 +734,35 @@ void
 SpecReader::readU64(const char *key, uint64_t *out)
 {
     if (const JsonValue *v = typedField(key, JsonType::Number)) {
-        if (v->asDouble() < 0.0) {
+        if (v->asDouble() < 0.0)
             fail(key, "expected non-negative number");
-            return;
-        }
-        *out = v->asU64();
+        else if (!fitsU64(v->asDouble()))
+            fail(key, "out of range");
+        else
+            *out = v->asU64();
     }
 }
 
 void
 SpecReader::readInt(const char *key, int *out)
 {
-    if (const JsonValue *v = typedField(key, JsonType::Number))
-        *out = v->asInt();
+    if (const JsonValue *v = typedField(key, JsonType::Number)) {
+        if (!fitsInt(v->asDouble()))
+            fail(key, "out of range");
+        else
+            *out = v->asInt();
+    }
 }
 
 void
 SpecReader::readDouble(const char *key, double *out)
 {
-    if (const JsonValue *v = typedField(key, JsonType::Number))
-        *out = v->asDouble();
+    if (const JsonValue *v = typedField(key, JsonType::Number)) {
+        if (!std::isfinite(v->asDouble()))
+            fail(key, "out of range");
+        else
+            *out = v->asDouble();
+    }
 }
 
 void
@@ -722,18 +782,12 @@ void
 SpecReader::rejectUnknownKeys(
     std::initializer_list<const char *> known) const
 {
-    if (!usable_)
-        return;
-    for (const auto &kv : value_.members()) {
-        bool found = false;
+    rejectUnknownKeys([&known](const std::string &key) {
         for (const char *k : known)
-            if (kv.first == k) {
-                found = true;
-                break;
-            }
-        if (!found)
-            fail(kv.first, "unknown field");
-    }
+            if (key == k)
+                return true;
+        return false;
+    });
 }
 
 // --- CliFlags --------------------------------------------------------

@@ -197,9 +197,17 @@ class SpecReader
     SpecReader(const JsonValue &value, std::string path,
                std::string *diag);
 
+    /**
+     * Reader over `parent`'s member `key` (already fetched as
+     * `value`), sharing its diagnostics under the path "parent.key".
+     */
+    SpecReader(const SpecReader &parent, const std::string &key,
+               const JsonValue &value);
+
     bool has(const char *key) const;
 
     void readBool(const char *key, bool *out);
+    /** Numeric reads reject non-finite and out-of-range values. */
     void readU64(const char *key, uint64_t *out);
     void readInt(const char *key, int *out);
     void readDouble(const char *key, double *out);
@@ -218,6 +226,17 @@ class SpecReader
      */
     void rejectUnknownKeys(
         std::initializer_list<const char *> known) const;
+
+    /** Same, with membership decided by `known(key)`. */
+    template <class Known>
+    void rejectUnknownKeys(const Known &known) const
+    {
+        if (!usable_)
+            return;
+        for (const auto &kv : value_.members())
+            if (!known(kv.first))
+                fail(kv.first, "unknown field");
+    }
 
     /** Append a custom diagnostic under this reader's path. */
     void fail(const std::string &key, const std::string &msg) const;

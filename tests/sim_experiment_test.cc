@@ -250,6 +250,16 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
     EXPECT_NE(diag.find("matrix.requests"), std::string::npos)
         << diag;
 
+    // Values no field can hold are out of range, not "must be >= 1".
+    diag = parseSpecDiag("{\"matrix\": {\"requests\": 1e400}}");
+    EXPECT_NE(diag.find("matrix.requests: out of range"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag("{\"montecarlo\": {\"distance\": 1e12}}");
+    EXPECT_NE(diag.find("montecarlo.distance: out of range"),
+              std::string::npos)
+        << diag;
+
     // Multiple problems all reported in one pass.
     diag = parseSpecDiag(
         "{\"matrix\": {\"requests\": \"x\", \"divisor\": \"y\"}}");

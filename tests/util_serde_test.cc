@@ -112,6 +112,17 @@ TEST(Json, ParseErrorsCarryLineAndColumn)
     err.clear();
     EXPECT_FALSE(JsonValue::parse("{\"a\": [1, 2}", &v, &err));
     EXPECT_FALSE(err.empty());
+
+    // Nesting past the depth cap is a positioned error, not a stack
+    // overflow: the 513th nested value is refused.
+    err.clear();
+    EXPECT_FALSE(
+        JsonValue::parse(std::string(200000, '['), &v, &err));
+    EXPECT_NE(err.find("column 513"), std::string::npos) << err;
+    EXPECT_TRUE(JsonValue::parse(std::string(511, '[') + "1" +
+                                     std::string(511, ']'),
+                                 &v, &err))
+        << err;
 }
 
 TEST(Json, FileRoundTrip)

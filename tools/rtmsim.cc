@@ -64,7 +64,7 @@
  *
  * `stripe` options:
  *   --segments N --lseg N --strength M --variant
- *   std|overhead|del-ins
+ *   none|std|overhead|del-ins
  */
 
 #include <cstdio>
@@ -89,54 +89,17 @@ using namespace rtm;
 namespace
 {
 
-MemTech
-techOrExit(const std::string &s)
+/** Parse a CLI token through its enum's table; exit 2 if unknown. */
+template <class E>
+E
+tokenOrExit(const std::string &s)
 {
-    MemTech tech;
-    if (!techFromToken(s, &tech)) {
-        std::fprintf(stderr, "unknown tech '%s'\n", s.c_str());
+    E value{};
+    if (!enumTokens(value).parse(s, &value)) {
+        std::fprintf(stderr, "%s\n", enumTokens(value).unknown(s).c_str());
         std::exit(2);
     }
-    return tech;
-}
-
-Scheme
-schemeOrExit(const std::string &s)
-{
-    Scheme scheme;
-    if (!schemeFromToken(s, &scheme)) {
-        std::fprintf(stderr, "unknown scheme '%s'\n", s.c_str());
-        std::exit(2);
-    }
-    return scheme;
-}
-
-PlacementKind
-placementOrExit(const std::string &s)
-{
-    PlacementKind kind;
-    if (!placementKindFromToken(s, &kind)) {
-        std::fprintf(stderr,
-                     "unknown placement '%s' (static | hot-center | "
-                     "adaptive)\n",
-                     s.c_str());
-        std::exit(2);
-    }
-    return kind;
-}
-
-HeadPolicy
-headPolicyOrExit(const std::string &s)
-{
-    HeadPolicy policy;
-    if (!headPolicyFromToken(s, &policy)) {
-        std::fprintf(stderr,
-                     "unknown head policy '%s' (stay | return-home | "
-                     "center | predictive)\n",
-                     s.c_str());
-        std::exit(2);
-    }
-    return policy;
+    return value;
 }
 
 /**
@@ -197,8 +160,8 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
         spec->matrix.workloads = {flags.get("workload", "")};
     if (flags.has("tech") || flags.has("scheme")) {
         LlcOption opt;
-        opt.tech = techOrExit(flags.get("tech", "rm"));
-        opt.scheme = schemeOrExit(flags.get("scheme", "adaptive"));
+        opt.tech = tokenOrExit<MemTech>(flags.get("tech", "rm"));
+        opt.scheme = tokenOrExit<Scheme>(flags.get("scheme", "adaptive"));
         opt.label = std::string(memTechName(opt.tech)) + " " +
                     schemeName(opt.scheme);
         spec->matrix.options = {opt};
@@ -210,10 +173,10 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
         flags.has("placement-epoch") || flags.has("swap-budget")) {
         for (LlcOption &opt : spec->matrix.options) {
             if (flags.has("placement"))
-                opt.placement =
-                    placementOrExit(flags.get("placement", "static"));
+                opt.placement = tokenOrExit<PlacementKind>(
+                    flags.get("placement", "static"));
             if (flags.has("head-policy"))
-                opt.head_policy = headPolicyOrExit(
+                opt.head_policy = tokenOrExit<HeadPolicy>(
                     flags.get("head-policy", "stay"));
             if (flags.has("placement-epoch"))
                 opt.placement_epoch = flags.getU64(
@@ -230,13 +193,7 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
         spec->protection = protectionOrExit(flags);
     if (flags.has("mc-tier")) {
         const std::string token = flags.get("mc-tier", "exact");
-        McTier tier;
-        if (!mcTierFromToken(token, &tier)) {
-            std::fprintf(stderr,
-                         "unknown --mc-tier '%s' (exact | fast)\n",
-                         token.c_str());
-            std::exit(2);
-        }
+        tokenOrExit<McTier>(token);
         spec->montecarlo.tier = token;
     }
     if (flags.has("mc-trials"))
@@ -450,18 +407,18 @@ cmdRun(int argc, char **argv)
     }
 
     SimConfig cfg;
-    cfg.hierarchy.llc_tech = techOrExit(flags.get("tech", "rm"));
+    cfg.hierarchy.llc_tech = tokenOrExit<MemTech>(flags.get("tech", "rm"));
     cfg.hierarchy.scheme =
-        schemeOrExit(flags.get("scheme", "adaptive"));
+        tokenOrExit<Scheme>(flags.get("scheme", "adaptive"));
     cfg.hierarchy.capacity_divisor = flags.getU64("divisor", 16);
     cfg.hierarchy.placement.kind =
-        placementOrExit(flags.get("placement", "static"));
+        tokenOrExit<PlacementKind>(flags.get("placement", "static"));
     cfg.hierarchy.placement.epoch_accesses =
         flags.getU64("placement-epoch", 64);
     cfg.hierarchy.placement.swap_budget =
         static_cast<int>(flags.getU64("swap-budget", 4));
     cfg.hierarchy.head_policy =
-        headPolicyOrExit(flags.get("head-policy", "stay"));
+        tokenOrExit<HeadPolicy>(flags.get("head-policy", "stay"));
     if (flags.has("protection") || flags.has("codeword-frames"))
         cfg.hierarchy.protection = protectionOrExit(flags);
     cfg.mem_requests = flags.getU64("requests", 60000);
@@ -652,11 +609,8 @@ cmdStripe(int argc, char **argv)
     c.num_segments = flags.getInt("segments", 8);
     c.seg_len = flags.getInt("lseg", 8);
     c.correct = flags.getInt("strength", 1);
-    std::string variant = flags.get("variant", "std");
-    c.variant = variant == "overhead"
-                    ? PeccVariant::OverheadRegion
-                    : variant == "del-ins" ? PeccVariant::DelIns
-                                           : PeccVariant::Standard;
+    const std::string variant = flags.get("variant", "std");
+    c.variant = tokenOrExit<PeccVariant>(variant);
     PeccLayout lay = computeLayout(c);
     AreaModel area;
     std::printf("stripe: %d segments x %d domains, m = %d (%s)\n",
@@ -700,7 +654,7 @@ usage()
         "  rtmsim rates\n"
         "  rtmsim plan [--lseg N] [--intensity OPS]\n"
         "  rtmsim stripe [--segments N] [--lseg N] [--strength M] "
-        "[--variant std|overhead|del-ins]\n"
+        "[--variant none|std|overhead|del-ins]\n"
         "  rtmsim help\n");
 }
 
