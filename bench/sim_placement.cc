@@ -6,8 +6,6 @@
  *
  * Policies compared per workload:
  *   static                the seed layout (frame i at its home slot)
- *   hot-center            online: each group reorganises around the
- *                         ports once its first epoch ends
  *   hot-center (profiled) two-pass: a static profiling run captures
  *                         per-frame counts that seed the layout of a
  *                         second run (no migration cost)
@@ -294,11 +292,6 @@ main(int argc, char **argv)
             }
         }
 
-        PlacementConfig hot;
-        hot.kind = PlacementKind::HotCenter;
-        rep.runs.push_back(runPolicy("hot-center", profile, sz, hot,
-                                     HeadPolicy::Stay, &model));
-
         FrameProfile captured;
         rep.runs.push_back(
             runProfiled(profile, sz, &model, &captured));
@@ -319,7 +312,7 @@ main(int argc, char **argv)
         best_oracle_pct =
             std::max(best_oracle_pct,
                      reductionPct(rep.runs[0].result,
-                                  rep.runs[2].result));
+                                  rep.runs[1].result));
         best_adaptive_pct = std::max(
             best_adaptive_pct,
             reductionPct(rep.runs[0].result,

@@ -226,11 +226,9 @@ class TablePlacement : public PlacementPolicy
     /**
      * Pack `group`'s frames hottest-first into the slots nearest the
      * rest anchor (ShiftsReduce's center-out order), respecting the
-     * per-offset capacity. Emits one migration per frame whose slot
-     * changed when `out` is non-null.
+     * per-offset capacity.
      */
-    void assignHotCenter(uint64_t group, const uint64_t *counts,
-                         std::vector<PlacementMigration> *out)
+    void assignHotCenter(uint64_t group, const uint64_t *counts)
     {
         uint64_t first, last;
         frameRange(group, &first, &last);
@@ -247,15 +245,9 @@ class TablePlacement : public PlacementPolicy
         const int cap = slotsPerOffset();
         for (size_t i = 0; i < ranked.size(); ++i) {
             uint64_t f = ranked[i];
-            int target =
+            slot_[f] = static_cast<int8_t>(
                 order[std::min(i / static_cast<size_t>(cap),
-                               order.size() - 1)];
-            int old = slot_[f];
-            if (old == target)
-                continue;
-            slot_[f] = static_cast<int8_t>(target);
-            if (out)
-                out->push_back({f, old, target});
+                               order.size() - 1)]);
         }
     }
 
@@ -263,10 +255,9 @@ class TablePlacement : public PlacementPolicy
 };
 
 /**
- * ShiftsReduce-style frequency placement. Offline variant: layout
- * fixed at construction from the supplied profile. Online variant:
- * each group reorganises itself once, after its first epoch of
- * observed accesses, and pays the migration shifts.
+ * ShiftsReduce-style frequency placement from an offline profile:
+ * the layout is fixed at construction (the data is laid out before
+ * the cache fills, so no migration cost is charged).
  */
 class HotCenterPlacement : public TablePlacement
 {
@@ -276,44 +267,16 @@ class HotCenterPlacement : public TablePlacement
                        HeadPolicy head)
         : TablePlacement(geom, config, head)
     {
-        if (!config_.profile.empty()) {
-            // Offline: the layout exists before the cache fills, so
-            // no migration cost is charged.
-            uint64_t groups = (geom_.line_frames +
-                               static_cast<uint64_t>(
-                                   geom_.frames_per_group) -
-                               1) /
-                              static_cast<uint64_t>(
-                                  geom_.frames_per_group);
-            for (uint64_t g = 0; g < groups; ++g)
-                assignHotCenter(g, config_.profile.data(), nullptr);
-        } else {
-            tracking_ = true;
-            uint64_t groups = (geom_.line_frames +
-                               static_cast<uint64_t>(
-                                   geom_.frames_per_group) -
-                               1) /
-                              static_cast<uint64_t>(
-                                  geom_.frames_per_group);
-            organized_.assign(groups, 0);
-        }
+        if (config_.profile.empty())
+            rtm_fatal("hot-center placement needs an offline profile");
+        const uint64_t fpg =
+            static_cast<uint64_t>(geom_.frames_per_group);
+        const uint64_t groups = (geom_.line_frames + fpg - 1) / fpg;
+        for (uint64_t g = 0; g < groups; ++g)
+            assignHotCenter(g, config_.profile.data());
     }
 
     const char *name() const override { return "hot-center"; }
-
-  protected:
-    void onEpoch(uint64_t group,
-                 std::vector<PlacementMigration> *out) override
-    {
-        if (organized_.empty() || organized_[group])
-            return;
-        organized_[group] = 1;
-        assignHotCenter(group, frame_count_.data(), out);
-    }
-
-  private:
-    /** 1 once a group's one-shot online reorganisation happened. */
-    std::vector<uint8_t> organized_;
 };
 
 /**

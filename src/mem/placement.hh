@@ -13,14 +13,13 @@
  *  - `static`     today's layout (frame index -> segment slot by
  *                 arithmetic), bit-identical to the pre-placement
  *                 bank and pinned by the golden digests.
- *  - `hot-center` ShiftsReduce-style: rank frames by access
- *                 frequency and pack the hottest frames into the
- *                 slots nearest the head's rest anchor. With an
- *                 offline profile (seeded from a first pass) the
- *                 layout is fixed at construction; without one, each
- *                 group reorganises itself once after its first
- *                 epoch of observed accesses, paying migration
- *                 shifts.
+ *  - `hot-center` ShiftsReduce-style: rank frames by an offline
+ *                 access-frequency profile (seeded from a first
+ *                 pass) and pack the hottest frames into the slots
+ *                 nearest the head's rest anchor; the layout is
+ *                 fixed at construction. ShiftsReduce is an offline
+ *                 method, so there is no online variant: specs
+ *                 cannot name it, because profiles are programmatic.
  *  - `adaptive`   online remapping: per-group epoch counters trigger
  *                 bounded hot/cold slot swaps every epoch, with the
  *                 migration shift cost charged to the bank ledger
@@ -55,7 +54,7 @@ namespace rtm
 enum class PlacementKind
 {
     Static,    //!< arithmetic layout (paper Sec. 6.1), the baseline
-    HotCenter, //!< frequency-ranked, hottest frames nearest the rest
+    HotCenter, //!< profile-ranked, hottest frames nearest the rest
     Adaptive   //!< epoch-based bounded hot/cold swaps at runtime
 };
 
@@ -86,8 +85,8 @@ struct PlacementConfig
     int swap_budget = 4;
 
     /**
-     * Offline per-frame access counts (index = frame). When set,
-     * hot-center computes its layout from this profile at
+     * Offline per-frame access counts (index = frame), required by
+     * hot-center, which computes its layout from them at
      * construction (the data is laid out before the cache fills, so
      * no migration cost is charged). Programmatic only — never
      * serialized into specs.

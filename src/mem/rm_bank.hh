@@ -67,7 +67,7 @@ struct RmBankStats
     uint64_t degraded_groups = 0;  //!< groups retired so far
     uint64_t remapped_accesses = 0; //!< served via a remapped group
 
-    // Placement migrations (hot-center online / adaptive): frame
+    // Placement migrations (adaptive placement): frame
     // moves scheduled by the placement policy. Their shift work is
     // also folded into shift_ops/shift_steps/shift_energy.
     uint64_t migrations = 0;      //!< frames moved

@@ -385,11 +385,4 @@ campaignResultToJson(const CampaignResult &result)
     return doc;
 }
 
-bool
-writeCampaignJson(const CampaignResult &result,
-                  const std::string &path)
-{
-    return saveJsonFile(path, campaignResultToJson(result));
-}
-
 } // namespace rtm

@@ -40,7 +40,7 @@ knownProfileName(const std::string &name)
     return false;
 }
 
-/** The faultcampaign tool's historical default workload trio. */
+/** The campaign's historical default workload trio. */
 std::vector<std::string>
 defaultCampaignWorkloads()
 {
@@ -88,6 +88,9 @@ readWorkloads(SpecReader &r, const char *key,
 void
 checkPlacement(SpecReader &r, LlcOption *o)
 {
+    if (o->placement == PlacementKind::HotCenter)
+        r.fail("policy", "hot-center needs an offline profile, which "
+                         "only the library API can supply");
     if (o->placement_epoch == 0)
         r.fail("epoch", "must be >= 1 access");
     if (o->placement_swap_budget < 0)

@@ -6,9 +6,9 @@
  * An ExperimentSpec describes a whole evaluation as data — the
  * technology/scheme axes and workload set of a matrix sweep
  * (Figs. 14/16-18), the scenario catalogue of a fault-injection
- * campaign, the stripe-level stress drill faultsim runs, telemetry
- * sinks and seeds — and round-trips losslessly through JSON
- * (util/serde.hh). A spec expands into a flat cell list, and every
+ * campaign, the stripe-level stress drill (`rtmsim stress`),
+ * telemetry sinks and seeds — and round-trips losslessly through
+ * JSON (util/serde.hh). A spec expands into a flat cell list, and every
  * cell — matrix, campaign and stress alike — is scheduled as one job
  * set on the global thread pool by the ExperimentEngine: no
  * per-matrix barrier, campaign and matrix cells interleave freely,
@@ -254,9 +254,9 @@ struct CampaignSpec
 };
 
 /**
- * Stress section: the stripe-level fault-injection drill faultsim
- * runs — randomized seeks on one protected stripe with scaled error
- * rates, reconciled against the closed-form ReliabilityModel.
+ * Stress section: the stripe-level fault-injection drill (`rtmsim
+ * stress`) — randomized seeks on one protected stripe with scaled
+ * error rates, reconciled against the closed-form ReliabilityModel.
  */
 struct StressSpec
 {
@@ -332,7 +332,7 @@ std::string experimentSpecHash(const ExperimentSpec &spec);
  * Resolve every defaulted axis to its explicit catalogue (empty
  * matrix workloads -> all PARSEC profiles, empty options -> the
  * standard LLC set, empty scenarios -> the standard catalogue, empty
- * campaign workloads -> the faultcampaign trio), so expansion and
+ * campaign workloads -> swaptions/canneal/ferret), so expansion and
  * emission are deterministic and emitted specs are self-contained.
  */
 void normalizeExperimentSpec(ExperimentSpec *spec);

@@ -60,6 +60,26 @@ scaledProfile(WorkloadProfile profile, uint64_t divisor)
     return profile;
 }
 
+SimConfig
+matrixCellConfig(const LlcOption &opt, uint64_t requests,
+                 uint64_t warmup, uint64_t capacity_divisor,
+                 uint64_t seed, const ProtectionPolicy &protection)
+{
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = opt.tech;
+    cfg.hierarchy.scheme = opt.scheme;
+    cfg.hierarchy.head_policy = opt.head_policy;
+    cfg.hierarchy.placement.kind = opt.placement;
+    cfg.hierarchy.placement.epoch_accesses = opt.placement_epoch;
+    cfg.hierarchy.placement.swap_budget = opt.placement_swap_budget;
+    cfg.hierarchy.capacity_divisor = capacity_divisor;
+    cfg.hierarchy.protection = protection;
+    cfg.mem_requests = requests;
+    cfg.warmup_requests = warmup;
+    cfg.seed = seed;
+    return cfg;
+}
+
 void
 appendMatrixJobs(ExperimentEngine &engine,
                  std::vector<WorkloadMatrixRow> *rows,
@@ -97,20 +117,9 @@ appendMatrixJobs(ExperimentEngine &engine,
             ScopedPhase cell_phase("runner.cell");
             WorkloadProfile run_profile =
                 scaledProfile(profile, capacity_divisor);
-            SimConfig cfg;
-            cfg.hierarchy.llc_tech = opt.tech;
-            cfg.hierarchy.scheme = opt.scheme;
-            cfg.hierarchy.head_policy = opt.head_policy;
-            cfg.hierarchy.placement.kind = opt.placement;
-            cfg.hierarchy.placement.epoch_accesses =
-                opt.placement_epoch;
-            cfg.hierarchy.placement.swap_budget =
-                opt.placement_swap_budget;
-            cfg.hierarchy.capacity_divisor = capacity_divisor;
-            cfg.hierarchy.protection = protection;
-            cfg.mem_requests = requests;
-            cfg.warmup_requests = warmup;
-            cfg.seed = seed;
+            SimConfig cfg =
+                matrixCellConfig(opt, requests, warmup,
+                                 capacity_divisor, seed, protection);
             cfg.telemetry = shard;
             cfg.stop = stop;
             const double t0 = shard ? telemetryNowSeconds() : 0.0;

@@ -61,6 +61,16 @@ WorkloadProfile scaledProfile(WorkloadProfile profile,
                               uint64_t divisor);
 
 /**
+ * The simulation config of one matrix cell: `opt`'s technology,
+ * scheme and placement axes over the run-wide parameters. Trace
+ * replays (`rtmsim run --trace`) use the same mapping.
+ */
+SimConfig matrixCellConfig(const LlcOption &opt, uint64_t requests,
+                           uint64_t warmup, uint64_t capacity_divisor,
+                           uint64_t seed,
+                           const ProtectionPolicy &protection);
+
+/**
  * Run every workload against every option.
  *
  * Cells are simulated in parallel on the global ThreadPool (see

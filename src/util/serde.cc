@@ -1,11 +1,13 @@
 #include "serde.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace rtm
 {
@@ -101,6 +103,23 @@ JsonValue::find(const std::string &key) const
         if (kv.first == key)
             return &kv.second;
     return nullptr;
+}
+
+JsonValue *
+JsonValue::find(const std::string &key)
+{
+    return const_cast<JsonValue *>(std::as_const(*this).find(key));
+}
+
+void
+JsonValue::erase(const std::string &key)
+{
+    for (auto it = members_.begin(); it != members_.end(); ++it) {
+        if (it->first == key) {
+            members_.erase(it);
+            return;
+        }
+    }
 }
 
 JsonValue &
@@ -860,29 +879,67 @@ CliFlags::get(const std::string &name,
     return it == values_.end() ? fallback : it->second;
 }
 
+namespace
+{
+
+[[noreturn]] void
+badFlagValue(const std::string &name, const char *want,
+             const std::string &text)
+{
+    std::fprintf(stderr, "--%s: expected %s, got '%s'\n",
+                 name.c_str(), want, text.c_str());
+    std::exit(2);
+}
+
+} // namespace
+
 uint64_t
 CliFlags::getU64(const std::string &name, uint64_t fallback) const
 {
     auto it = values_.find(name);
-    return it == values_.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end())
+        return fallback;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    // strtoull would skip whitespace and wrap a leading '-'.
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*text)) || *end ||
+        errno == ERANGE)
+        badFlagValue(name, "a non-negative integer", it->second);
+    return v;
 }
 
 int
 CliFlags::getInt(const std::string &name, int fallback) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::atoi(it->second.c_str());
+    if (it == values_.end())
+        return fallback;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || std::isspace(static_cast<unsigned char>(*text)) ||
+        *end || errno == ERANGE || v < INT_MIN || v > INT_MAX)
+        badFlagValue(name, "an integer", it->second);
+    return static_cast<int>(v);
 }
 
 double
 CliFlags::getDouble(const std::string &name, double fallback) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::atof(it->second.c_str());
+    if (it == values_.end())
+        return fallback;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || std::isspace(static_cast<unsigned char>(*text)) ||
+        *end || errno == ERANGE || !std::isfinite(v))
+        badFlagValue(name, "a finite number", it->second);
+    return v;
 }
 
 std::vector<std::string>

@@ -13,9 +13,9 @@
  *    (ExperimentSpec et al.) that accumulates dotted-path
  *    diagnostics ("matrix.requests: expected number, got string")
  *    instead of dying on the first problem;
- *  - CliFlags: the one --flag value command-line parser shared by
- *    rtmsim / faultsim / faultcampaign, with uniform error handling
- *    for stray tokens, missing values and unknown flags.
+ *  - CliFlags: the --flag value command-line parser of rtmsim's
+ *    subcommands, with uniform error handling for stray tokens,
+ *    missing values, unknown flags and malformed numbers.
  */
 
 #ifndef RTM_UTIL_SERDE_HH
@@ -99,13 +99,17 @@ class JsonValue
     // Array access.
     size_t size() const { return items_.size(); }
     const JsonValue &at(size_t i) const { return items_[i]; }
+    JsonValue &at(size_t i) { return items_[i]; }
     void push(JsonValue v) { items_.push_back(std::move(v)); }
     const std::vector<JsonValue> &items() const { return items_; }
 
     // Object access (linear scan; spec objects are small).
     const JsonValue *find(const std::string &key) const;
+    JsonValue *find(const std::string &key);
     /** Insert-or-overwrite, preserving first-insertion order. */
     JsonValue &set(const std::string &key, JsonValue v);
+    /** Remove a member (no-op when absent). */
+    void erase(const std::string &key);
     const std::vector<std::pair<std::string, JsonValue>> &
     members() const
     {
@@ -260,13 +264,11 @@ class SpecReader
 /**
  * Shared `--flag value` command-line parser.
  *
- * The grammar all three tools historically used: flags come in
- * pairs, every flag token starts with "--". This parser adds the
- * uniform error handling the tools lacked: a non-flag token, a flag
- * with no value, and (when `allowed` is non-empty) an unknown flag
- * are each reported with the offending token. parseOrExit prints the
- * diagnostic to stderr and exits with status 2, matching the tools'
- * historical behaviour.
+ * Flags come in pairs and every flag token starts with "--". A
+ * non-flag token, a flag with no value, and (when `allowed` is
+ * non-empty) an unknown flag are each reported with the offending
+ * token. parseOrExit prints the diagnostic to stderr and exits with
+ * status 2.
  */
 class CliFlags
 {
@@ -287,6 +289,13 @@ class CliFlags
     bool has(const std::string &name) const;
     std::string get(const std::string &name,
                     const std::string &fallback) const;
+
+    /**
+     * Numeric getters: `fallback` when the flag is absent. A value
+     * with non-numeric text, trailing garbage, a sign an unsigned
+     * flag cannot take, or a magnitude out of the type's range
+     * prints "--<flag>: expected ..." and exits with status 2.
+     */
     uint64_t getU64(const std::string &name,
                     uint64_t fallback) const;
     int getInt(const std::string &name, int fallback) const;

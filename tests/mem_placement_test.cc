@@ -111,31 +111,6 @@ TEST(HotCenterPlacementTest, OfflineProfilePacksHottestNearAnchor)
             << "frame " << f;
 }
 
-TEST(HotCenterPlacementTest, OnlineReorganisesEachGroupOnce)
-{
-    PlacementGeometry geom = twoGroupGeometry();
-    PlacementConfig config;
-    config.kind = PlacementKind::HotCenter;
-    config.epoch_accesses = 8;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
-    ASSERT_TRUE(policy->tracking());
-
-    std::vector<PlacementMigration> migrations;
-    for (int i = 0; i < 8; ++i)
-        policy->recordAccess(5, &migrations);
-    const size_t first_epoch = migrations.size();
-    EXPECT_GT(first_epoch, 0u);
-    // Frame 5 monopolised the epoch: it moves to the anchor slot.
-    EXPECT_EQ(policy->slotOffset(5), 3);
-
-    // Later epochs never reorganise this group again.
-    for (int i = 0; i < 64; ++i)
-        policy->recordAccess(static_cast<uint64_t>(i % 7),
-                             &migrations);
-    EXPECT_EQ(migrations.size(), first_epoch);
-}
-
 TEST(AdaptivePlacementTest, SwapsStayWithinBudgetEveryEpoch)
 {
     PlacementGeometry geom = twoGroupGeometry();

@@ -154,19 +154,19 @@ TEST(ParallelDeterminism, PlacementPoliciesMatchSerial)
     // (epoch counters, slot tables, migration scratch); each cell
     // owns its bank, so a threaded sweep must replay the serial one
     // bit for bit — migrations included. This is also the TSan
-    // coverage for the epoch-counter path.
+    // coverage for the epoch-counter and predictive-head paths.
     PaperCalibratedErrorModel model;
     LlcOption adaptive{"RM adaptive", MemTech::Racetrack,
                        Scheme::PeccSAdaptive};
     adaptive.placement = PlacementKind::Adaptive;
     adaptive.placement_epoch = 16;
     adaptive.placement_swap_budget = 4;
-    LlcOption hot{"RM hot-center predictive", MemTech::Racetrack,
-                  Scheme::PeccSAdaptive};
-    hot.placement = PlacementKind::HotCenter;
-    hot.placement_epoch = 16;
-    hot.head_policy = HeadPolicy::Predictive;
-    std::vector<LlcOption> options = {adaptive, hot};
+    LlcOption predictive{"RM adaptive predictive", MemTech::Racetrack,
+                         Scheme::PeccSAdaptive};
+    predictive.placement = PlacementKind::Adaptive;
+    predictive.placement_epoch = 16;
+    predictive.head_policy = HeadPolicy::Predictive;
+    std::vector<LlcOption> options = {adaptive, predictive};
 
     auto sweep = [&] {
         return runMatrix(options, &model, 2000, 400, 32);

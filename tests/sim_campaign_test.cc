@@ -328,25 +328,33 @@ TEST(Campaign, DegradationDrillRetiresGroupsGracefully)
 
 TEST(Campaign, WritesJsonReport)
 {
+    // The campaign report is the experiment result document, whose
+    // "campaign" member is campaignResultToJson.
+    ExperimentSpec spec;
+    spec.matrix.enabled = false;
+    spec.campaign.enabled = true;
+    spec.campaign.config = quickConfig();
+    spec.campaign.config.accesses_per_cell = 300;
+    spec.campaign.scenarios = {standardScenarios()[1]};
+    spec.campaign.workloads = {"swaptions"};
+    ExperimentResult r = runExperiment(spec);
+    ASSERT_TRUE(r.has_campaign);
+
     std::string path = "/tmp/rtm_campaign_test.json";
-    std::vector<ScenarioSpec> one = {standardScenarios()[1]};
-    CampaignConfig config = quickConfig();
-    config.accesses_per_cell = 300;
-    CampaignResult r = runCampaign(one, {"swaptions"}, config);
-    ASSERT_TRUE(writeCampaignJson(r, path));
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    buf[n] = '\0';
-    std::string text(buf);
+    ASSERT_TRUE(writeExperimentJson(r, path));
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(loadJsonFile(path, &doc, &err)) << err;
+    std::remove(path.c_str());
+    const JsonValue *campaign = doc.find("campaign");
+    ASSERT_NE(campaign, nullptr);
+    EXPECT_EQ(*campaign, campaignResultToJson(r.campaign));
+    const std::string text = campaign->dump();
     EXPECT_NE(text.find("\"cells\""), std::string::npos);
     EXPECT_NE(text.find("\"containment_coverage\""),
               std::string::npos);
     EXPECT_NE(text.find("\"burst\""), std::string::npos);
-    std::remove(path.c_str());
-    EXPECT_FALSE(writeCampaignJson(r, "/nonexistent/dir/x.json"));
+    EXPECT_FALSE(writeExperimentJson(r, "/nonexistent/dir/x.json"));
 }
 
 } // namespace

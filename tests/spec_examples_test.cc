@@ -91,8 +91,8 @@ TEST(SpecExamples, EmittedSpecHashesArePinned)
                        "c1cc8b193b1c913ca6"},
         {"mc_fast.json", "7c109063665427760717f1dcbc6bc46eecacfe5e600b"
                          "4282e94a74cad845be4d"},
-        {"placement_sweep.json", "6929c8d7cf0e0ee46257218558d33e4ca3c0"
-                                 "2efe1bb0945021dd8cf3a0ef6fe2"},
+        {"placement_sweep.json", "4ee1121d7db3a295b8ab53470354ade1badb"
+                                 "318e07f4c5d43591b7f280401076"},
         {"protection_sweep.json", "482cbec7a1e207703723a5f514cf9aaf8de9"
                                   "8f87c39a65220c8b88ac9b652116"},
         {"resilient_campaign.json", "6c8d149b307977aadbcaa0ab600e8d0dd2"

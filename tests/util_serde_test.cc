@@ -2,7 +2,8 @@
  * @file
  * Serde-layer tests: JSON document model + parser/emitter
  * round-trips, number fidelity, SpecReader typed binding and
- * diagnostics, CliFlags grammar and error handling, splitCsv.
+ * diagnostics, CliFlags grammar, error handling and strict numeric
+ * getters, splitCsv.
  */
 
 #include <gtest/gtest.h>
@@ -281,6 +282,39 @@ TEST(CliFlags, EmptyAllowedAcceptsAnything)
         tryParseArgs({"tool", "--whatever", "v"}, {}, &ok, &err);
     EXPECT_TRUE(ok) << err;
     EXPECT_EQ(f.get("whatever", ""), "v");
+}
+
+TEST(CliFlags, NumericGettersRejectMalformedValuesWithExit2)
+{
+    bool ok = false;
+    std::string err;
+    CliFlags f = tryParseArgs(
+        {"tool", "--lseg", "abc", "--ops", "12x", "--seed", "-5",
+         "--big", "99999999999", "--huge", "1e999", "--blank", "",
+         "--space", " 4", "--wrap", "18446744073709551616"},
+        {}, &ok, &err);
+    ASSERT_TRUE(ok) << err;
+    using ::testing::ExitedWithCode;
+    EXPECT_EXIT(f.getInt("lseg", 8), ExitedWithCode(2),
+                "--lseg: expected an integer, got 'abc'");
+    EXPECT_EXIT(f.getDouble("lseg", 1.0), ExitedWithCode(2),
+                "--lseg: expected a finite number");
+    EXPECT_EXIT(f.getU64("lseg", 1), ExitedWithCode(2), "--lseg");
+    EXPECT_EXIT(f.getU64("ops", 1), ExitedWithCode(2),
+                "--ops: expected a non-negative integer, got '12x'");
+    EXPECT_EXIT(f.getInt("ops", 1), ExitedWithCode(2), "--ops");
+    EXPECT_EXIT(f.getU64("seed", 1), ExitedWithCode(2), "--seed");
+    EXPECT_EXIT(f.getInt("big", 1), ExitedWithCode(2), "--big");
+    EXPECT_EXIT(f.getDouble("huge", 1.0), ExitedWithCode(2),
+                "--huge");
+    EXPECT_EXIT(f.getU64("wrap", 1), ExitedWithCode(2), "--wrap");
+    EXPECT_EXIT(f.getInt("blank", 1), ExitedWithCode(2), "--blank");
+    EXPECT_EXIT(f.getU64("space", 1), ExitedWithCode(2), "--space");
+    EXPECT_EXIT(f.getDouble("space", 1.0), ExitedWithCode(2),
+                "--space");
+    // In-range values still parse.
+    EXPECT_EQ(f.getU64("big", 0), 99999999999u);
+    EXPECT_EQ(f.getInt("seed", 0), -5);
 }
 
 TEST(SplitCsv, MatchesHistoricalSplitListSemantics)

@@ -2,8 +2,9 @@
  * @file
  * Model-validation tests: the closed-form reliability model must
  * agree with the functional protection stack under fault-injection
- * campaigns (the property faultsim demonstrates interactively), and
- * rebuild paths must fully reset ground-truth bookkeeping.
+ * campaigns (the property `rtmsim stress` demonstrates
+ * interactively), and rebuild paths must fully reset ground-truth
+ * bookkeeping.
  */
 
 #include <gtest/gtest.h>
