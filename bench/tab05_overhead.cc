@@ -33,8 +33,8 @@ layoutOverheadPercent(PeccVariant variant)
     return 100.0 * computeLayout(c).storageOverhead();
 }
 
-PeccLayout
-codewordLayout(int frames)
+PeccConfig
+codewordConfig(int frames)
 {
     PeccConfig c;
     c.num_segments = 8;
@@ -42,7 +42,24 @@ codewordLayout(int frames)
     c.correct = 1;
     c.variant = PeccVariant::Standard;
     c.codeword_frames = frames;
-    return computeLayout(c);
+    return c;
+}
+
+/** Extra domains of one codeword: its shared region runs the
+ *  pooled code (the one the reliability model classifies with). */
+int
+codewordExtraDomains(int frames)
+{
+    return computeLayout(codewordConfig(frames).pooledCode())
+        .extraDomains();
+}
+
+/** Amortised storage overhead per protected frame. */
+double
+codewordOverhead(int frames)
+{
+    return static_cast<double>(codewordExtraDomains(frames)) /
+           (frames * codewordConfig(frames).dataDomains());
 }
 
 /**
@@ -63,13 +80,11 @@ policyOverheadPercent(const ProtectionPolicy &policy)
             static_cast<double>(r.end - r.begin) / 2048.0;
         const ProtectionDomain &d = rp.domains[static_cast<size_t>(
             r.domain)];
-        acc += share * codewordLayout(d.codeword_frames)
-                           .codewordStorageOverhead();
+        acc += share * codewordOverhead(d.codeword_frames);
         covered += share;
     }
     acc += (1.0 - covered) *
-           codewordLayout(rp.domains[0].codeword_frames)
-               .codewordStorageOverhead();
+           codewordOverhead(rp.domains[0].codeword_frames);
     return 100.0 * acc;
 }
 
@@ -115,12 +130,11 @@ main()
                   "extra domains/codeword", "cell (%)",
                   "redundancy reads/write"});
     for (int frames : {1, 2, 4, 8}) {
-        PeccLayout lay = codewordLayout(frames);
+        PeccLayout lay = computeLayout(codewordConfig(frames));
         cw.addRow({TextTable::integer(frames),
                    TextTable::integer(lay.config.effectiveCorrect()),
-                   TextTable::integer(lay.codewordExtraDomains()),
-                   TextTable::fixed(
-                       100.0 * lay.codewordStorageOverhead(), 1),
+                   TextTable::integer(codewordExtraDomains(frames)),
+                   TextTable::fixed(100.0 * codewordOverhead(frames), 1),
                    TextTable::integer(
                        lay.redundancyAccessesPerWrite())});
     }

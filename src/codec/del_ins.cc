@@ -7,6 +7,41 @@
 namespace rtm
 {
 
+namespace
+{
+
+/** Positions of interleave class c on an L-bit track. */
+int
+classLength(int track_len, int k, int c)
+{
+    return (track_len - 1 - c) / k + 1;
+}
+
+/**
+ * Smallest r with 2^r - 1 >= Lc: the check bits at class-local
+ * indices 2^j - 1 have VT weight 2^j, so they can write any
+ * syndrome deficit in [0, Lc] directly.
+ */
+int
+vtCheckBits(int class_len)
+{
+    int r = 0;
+    while ((1 << r) - 1 < class_len)
+        ++r;
+    return r;
+}
+
+} // anonymous namespace
+
+int
+DelInsCode::dataBitsFor(int track_len, int k)
+{
+    int data = track_len;
+    for (int c = 0; c < k; ++c)
+        data -= vtCheckBits(classLength(track_len, k, c));
+    return data;
+}
+
 DelInsCode::DelInsCode(int tracks, int track_len, int k)
     : tracks_(tracks), len_(track_len), k_(k)
 {
@@ -24,13 +59,8 @@ DelInsCode::DelInsCode(int tracks, int track_len, int k)
     is_check_.assign(len_, 0);
     for (int c = 0; c < k_; ++c) {
         ClassInfo &info = classes_[c];
-        info.length = (len_ - 1 - c) / k_ + 1;
-        // Smallest r with 2^r - 1 >= Lc: the check bits at class-local
-        // indices 2^j - 1 have VT weight 2^j, so they can write any
-        // syndrome deficit in [0, Lc] directly.
-        int r = 0;
-        while ((1 << r) - 1 < info.length)
-            ++r;
+        info.length = classLength(len_, k_, c);
+        const int r = vtCheckBits(info.length);
         for (int j = 0; j < r; ++j) {
             int local = (1 << j) - 1;
             info.check_local.push_back(local);

@@ -93,6 +93,13 @@ class DelInsCode
     /** Data bits across all tracks. */
     int payloadBits() const { return tracks_ * dataBitsPerTrack(); }
 
+    /**
+     * dataBitsPerTrack() of a code with these parameters, without
+     * building it (1 <= k < track_len); < 1 when the check bits
+     * leave no room for data, a geometry the constructor rejects.
+     */
+    static int dataBitsFor(int track_len, int k);
+
     /** True if track position `pos` holds a check bit. */
     bool isCheckPosition(int pos) const;
 

@@ -34,14 +34,6 @@ validate(const PeccConfig &c)
         rtm_fatal("segment length must be >= 2");
     if (c.correct < 0)
         rtm_fatal("correction strength must be >= 0");
-    // The paper states m < Lseg - 1 (Sec. 4.2.3) but its own
-    // sensitivity figures include SECDED on Lseg = 2 stripes, where
-    // the single possible shift distance is 1 and +/-1 correction
-    // still makes sense; we accept m up to Lseg - 1.
-    if (c.correct > c.seg_len - 1 &&
-        c.variant == PeccVariant::Standard)
-        rtm_fatal("p-ECC requires m <= Lseg - 1 (m=%d, Lseg=%d)",
-                  c.correct, c.seg_len);
     if (c.window_ports > 0) {
         if (c.variant == PeccVariant::DelIns)
             rtm_fatal("del-ins stripes have no code window");
@@ -52,38 +44,11 @@ validate(const PeccConfig &c)
             rtm_fatal("window w=%d too narrow to correct +/-%d "
                       "offsets", c.window_ports, c.correct);
     }
-    if (c.variant == PeccVariant::DelIns) {
-        if (c.correct < 1)
-            rtm_fatal("del-ins protection needs k >= 1");
-        if (c.seg_len <= c.correct)
-            rtm_fatal("del-ins track of %d domains too short for "
-                      "k=%d", c.seg_len, c.correct);
-    }
+    if (c.variant == PeccVariant::DelIns && c.correct < 1)
+        rtm_fatal("del-ins protection needs k >= 1");
     const std::string geom = protectionGeometryError(c, 0);
     if (!geom.empty())
         rtm_fatal("%s", geom.c_str());
-}
-
-/** Extra domains of `c` evaluated at strength `m`, window `w`. */
-int
-extraDomainsAtStrength(const PeccConfig &c, int m, int w)
-{
-    switch (c.variant) {
-      case PeccVariant::None:
-        return 0;
-      case PeccVariant::Standard:
-        if (m == 0 && w == 1)
-            return c.seg_len + 1;
-        return 2 * m + (c.seg_len - 1 + 2 * m) + (w - (m + 1));
-      case PeccVariant::OverheadRegion:
-        return 4 * (m + 1);
-      case PeccVariant::DelIns: {
-        DelInsCode code(c.num_segments, c.seg_len, m);
-        return c.num_segments * code.checkBitsPerTrack() +
-               code.flushReads();
-      }
-    }
-    return 0;
 }
 
 } // anonymous namespace
@@ -103,6 +68,24 @@ PeccConfig::effectiveCorrect() const
                     seg_len - 1);
 }
 
+PeccConfig
+PeccConfig::pooledCode() const
+{
+    if (codeword_frames <= 1 || variant == PeccVariant::None)
+        return *this;
+    PeccConfig code = *this;
+    code.correct = pooledCorrect(correct, codeword_frames);
+    code.codeword_frames = 1;
+    if (variant != PeccVariant::DelIns) {
+        // The narrowest window whose period 2^w still tells the
+        // 2m' + 1 correctable residues and a detect-only one apart.
+        code.window_ports = 1;
+        while ((1 << code.window_ports) < 2 * code.correct + 2)
+            ++code.window_ports;
+    }
+    return code;
+}
+
 std::string
 protectionGeometryError(const PeccConfig &config, int frames_per_group)
 {
@@ -120,6 +103,27 @@ protectionGeometryError(const PeccConfig &config, int frames_per_group)
                    " frames does not tile the group (" +
                    std::to_string(frames_per_group) +
                    " frames per group)";
+    }
+    // The paper states m < Lseg - 1 (Sec. 4.2.3) but its own
+    // sensitivity figures include SECDED on Lseg = 2 stripes, where
+    // the single possible shift distance is 1 and +/-1 correction
+    // still makes sense; we accept m up to Lseg - 1.
+    if (config.variant == PeccVariant::Standard &&
+        config.correct > config.seg_len - 1)
+        return "p-ECC requires m <= Lseg - 1 (m=" +
+               std::to_string(config.correct) +
+               ", Lseg=" + std::to_string(config.seg_len) + ")";
+    if (config.variant == PeccVariant::DelIns && config.correct >= 1) {
+        if (config.seg_len <= config.correct)
+            return "del-ins track of " +
+                   std::to_string(config.seg_len) +
+                   " domains too short for k=" +
+                   std::to_string(config.correct);
+        if (DelInsCode::dataBitsFor(config.seg_len, config.correct) < 1)
+            return "del-ins track of " +
+                   std::to_string(config.seg_len) +
+                   " domains leaves no data bits for k=" +
+                   std::to_string(config.correct);
     }
     if (f > 1) {
         if (config.variant == PeccVariant::None)
@@ -149,30 +153,25 @@ PeccLayout::extraDomains() const
     //  - p-ECC-O: 2(m+1) domains at each end;
     //  - del-ins: the in-track VT check bits plus the flush-read
     //    sentinel domains (there is no dedicated code region).
-    return extraDomainsAtStrength(config, config.correct,
-                                  config.window());
-}
-
-int
-PeccLayout::codewordExtraDomains() const
-{
-    // F frames pooling one codeword share a single redundancy
-    // region, sized at the boosted strength m + log2(F) instead of
-    // F per-frame regions at strength m — the Ramulator2_ECC
-    // sub-linear scaling (Hamming-style: check bits grow with the
-    // log of the data they cover).
-    const int m_eff = config.effectiveCorrect();
-    return extraDomainsAtStrength(config, m_eff,
-                                  std::max(config.window(),
-                                           m_eff + 1));
-}
-
-double
-PeccLayout::codewordStorageOverhead() const
-{
-    return static_cast<double>(codewordExtraDomains()) /
-           (static_cast<double>(config.codeword_frames) *
-            static_cast<double>(config.dataDomains()));
+    const PeccConfig &c = config;
+    const int m = c.correct;
+    const int w = c.window();
+    switch (c.variant) {
+      case PeccVariant::None:
+        return 0;
+      case PeccVariant::Standard:
+        if (m == 0 && w == 1)
+            return c.seg_len + 1;
+        return 2 * m + (c.seg_len - 1 + 2 * m) + (w - (m + 1));
+      case PeccVariant::OverheadRegion:
+        return 4 * (m + 1);
+      case PeccVariant::DelIns: {
+        DelInsCode code(c.num_segments, c.seg_len, m);
+        return c.num_segments * code.checkBitsPerTrack() +
+               code.flushReads();
+      }
+    }
+    return 0;
 }
 
 int

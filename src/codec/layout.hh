@@ -117,6 +117,17 @@ struct PeccConfig
      * (the largest offset a per-stripe position code can represent).
      */
     int effectiveCorrect() const;
+
+    /**
+     * The code a pooled codeword runs, as a single-frame config:
+     * strength pooledCorrect(correct, codeword_frames) on the
+     * narrowest window with 2m' + 2 <= 2^w (del-ins keeps its
+     * windowless track code at burst strength m'). The shift-code
+     * factory and the pooled storage accounting both start here.
+     * Returns *this unchanged for single-frame codewords and
+     * unprotected stripes.
+     */
+    PeccConfig pooledCode() const;
 };
 
 /**
@@ -130,9 +141,10 @@ int pooledCorrect(int correct, int codeword_frames);
  * Non-fatal geometry diagnosis for spec-driven configuration: empty
  * string when `config` (against a bank group of `frames_per_group`
  * frames; pass 0 to skip the group checks) is realisable, otherwise
- * one human-readable reason. Mirrors the rtm_fatal checks in
- * computeLayout but lets spec parsing report a dotted-path error and
- * exit 2 instead of aborting.
+ * one human-readable reason: codeword pooling, p-ECC strength
+ * m <= Lseg - 1, and a del-ins track long enough for its k-burst
+ * code. computeLayout aborts on the same reasons; spec parsing
+ * reports them as a dotted-path error and exits 2 instead.
  */
 std::string protectionGeometryError(const PeccConfig &config,
                                     int frames_per_group);
@@ -176,23 +188,6 @@ struct PeccLayout
 
     /** Storage overhead: extra domains / data domains. */
     double storageOverhead() const;
-
-    // ---- multi-frame codeword accounting -----------------------------
-
-    /**
-     * Extra domains for one whole codeword of
-     * config.codeword_frames frames: one shared redundancy region
-     * sized at the pooled strength effectiveCorrect() instead of
-     * codeword_frames per-frame regions at strength m.
-     */
-    int codewordExtraDomains() const;
-
-    /**
-     * Amortised storage overhead per protected frame:
-     * codewordExtraDomains() / (codeword_frames * data domains).
-     * Equals storageOverhead() at codeword_frames = 1.
-     */
-    double codewordStorageOverhead() const;
 
     /**
      * Redundancy-frame accesses charged per codeword update: 0 for

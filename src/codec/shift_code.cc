@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "codec/del_ins.hh"
 #include "util/logging.hh"
 
 namespace rtm
@@ -47,20 +46,6 @@ CyclicPositionCode::classify(int step_error) const
     return ErrorClass::Ambiguous; // detected, direction unknown
 }
 
-int
-CyclicPositionCode::redundancyDomains(int num_segments, int seg_len)
-    const
-{
-    (void)num_segments; // the code region is shared by all segments
-    const int m = correct_;
-    const int w = code_.window();
-    if (m == 0 && w == 1)
-        return seg_len + 1; // the paper's SED accounting
-    // p-ECC accounting (paper Sec. 4.2.3) plus one domain for each
-    // window port beyond the paper's w = m + 1.
-    return 2 * m + (seg_len - 1 + 2 * m) + (w - (m + 1));
-}
-
 DelInsShiftCode::DelInsShiftCode(int k) : k_(k)
 {
     if (k_ < 1)
@@ -87,34 +72,19 @@ DelInsShiftCode::classify(int step_error) const
                                       : ErrorClass::Ambiguous;
 }
 
-int
-DelInsShiftCode::redundancyDomains(int num_segments, int seg_len)
-    const
-{
-    DelInsCode code(num_segments, seg_len, k_);
-    return num_segments * code.checkBitsPerTrack() +
-           code.flushReads();
-}
-
 std::shared_ptr<const ShiftCode>
-makeShiftCode(Scheme scheme)
+makeShiftCode(const PeccConfig &config)
 {
-    switch (scheme) {
-      case Scheme::Baseline:
-      case Scheme::Sts:
+    const PeccConfig code = config.pooledCode();
+    switch (code.variant) {
+      case PeccVariant::None:
         return nullptr;
-      case Scheme::SedPecc:
-        return std::make_shared<CyclicPositionCode>(1, 0);
-      case Scheme::SecdedPecc:
-      case Scheme::PeccO:
-      case Scheme::PeccSWorst:
-      case Scheme::PeccSAdaptive:
-        return std::make_shared<CyclicPositionCode>(2, 1);
-      case Scheme::LmPos:
-        return std::make_shared<CyclicPositionCode>(kLmPosWindow,
-                                                    kLmPosCorrect);
-      case Scheme::DelIns:
-        return std::make_shared<DelInsShiftCode>(kDelInsStrength);
+      case PeccVariant::Standard:
+      case PeccVariant::OverheadRegion:
+        return std::make_shared<CyclicPositionCode>(code.window(),
+                                                    code.correct);
+      case PeccVariant::DelIns:
+        return std::make_shared<DelInsShiftCode>(code.correct);
     }
     return nullptr;
 }

@@ -18,11 +18,12 @@
  *    streaming readout that may have suffered up to k skipped
  *    (deletion) or repeated (insertion) reads (codec/del_ins.hh).
  *
- * A ShiftCode answers the questions the architecture layers ask of a
- * codec without knowing its mechanism: how large an error it corrects,
- * what a given ground-truth step error turns into (the reliability
- * model's SDC/DUE/corrected decomposition), and what redundancy it
- * costs (the layout/area accounting).
+ * A ShiftCode answers the questions the analytic layers ask of a
+ * codec without knowing its mechanism: how large an error it corrects
+ * and what a given ground-truth step error turns into (the
+ * reliability model's SDC/DUE/corrected decomposition). What a code
+ * costs in domains and ports is PeccLayout's accounting
+ * (codec/layout.hh).
  */
 
 #ifndef RTM_CODEC_SHIFT_CODE_HH
@@ -31,7 +32,7 @@
 #include <memory>
 
 #include "codec/cyclic.hh"
-#include "model/tech.hh"
+#include "codec/layout.hh"
 
 namespace rtm
 {
@@ -53,9 +54,7 @@ constexpr int kLmPosCorrect = 2; //!< m: corrects +/-2-step offsets
 /** Default deletion/insertion strength (scheme token "del-ins-k"). */
 constexpr int kDelInsStrength = 2; //!< k per protected readout
 
-/**
- * Abstract position-error codec: classification and redundancy.
- */
+/** Abstract position-error codec: radius and classification. */
 class ShiftCode
 {
   public:
@@ -69,18 +68,6 @@ class ShiftCode
 
     /** Classify a ground-truth signed per-operation step error. */
     virtual ErrorClass classify(int step_error) const = 0;
-
-    /**
-     * Redundant domains this codec adds to a stripe of
-     * `num_segments` segments of `seg_len` domains (paper-facing
-     * accounting, matching PeccLayout::extraDomains for the
-     * equivalent PeccConfig).
-     */
-    virtual int redundancyDomains(int num_segments,
-                                  int seg_len) const = 0;
-
-    /** Extra read ports over the per-segment data ports. */
-    virtual int extraReadPorts() const = 0;
 };
 
 /**
@@ -101,9 +88,6 @@ class CyclicPositionCode : public ShiftCode
     const char *name() const override;
     int correctionRadius() const override { return correct_; }
     ErrorClass classify(int step_error) const override;
-    int redundancyDomains(int num_segments,
-                          int seg_len) const override;
-    int extraReadPorts() const override { return code_.window(); }
 
     /** Underlying de Bruijn sequence / window decoder. */
     const CyclicCode &code() const { return code_; }
@@ -129,20 +113,18 @@ class DelInsShiftCode : public ShiftCode
     const char *name() const override;
     int correctionRadius() const override { return k_; }
     ErrorClass classify(int step_error) const override;
-    int redundancyDomains(int num_segments,
-                          int seg_len) const override;
-    int extraReadPorts() const override { return 0; }
 
   private:
     int k_;
 };
 
 /**
- * Codec implied by a protection scheme; nullptr for the code-less
- * schemes (Baseline/STS). The returned radius always equals
- * schemeCorrectionStrength(scheme).
+ * Codec a stripe configuration runs: config.pooledCode()'s cyclic
+ * position code (window(), correct) or del-ins code (k = correct);
+ * nullptr for PeccVariant::None. Only the pooled strength and
+ * window matter, not the stripe shape.
  */
-std::shared_ptr<const ShiftCode> makeShiftCode(Scheme scheme);
+std::shared_ptr<const ShiftCode> makeShiftCode(const PeccConfig &config);
 
 } // namespace rtm
 

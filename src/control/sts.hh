@@ -15,10 +15,26 @@
 #ifndef RTM_CONTROL_STS_HH
 #define RTM_CONTROL_STS_HH
 
+#include "codec/layout.hh"
 #include "util/units.hh"
 
 namespace rtm
 {
+
+/**
+ * p-ECC detection time folded into every shift operation of a stripe
+ * running `variant`: none without a code, else the basic 0.34 ns
+ * window decode of Table 5 (one cycle at 2 GHz). The richer p-ECC-S
+ * controllers report longer detection (0.38/0.61 ns), but that extra
+ * logic pipelines with the next operation rather than stretching
+ * every shift - consistent with the paper's measurement that the
+ * adaptive scheme has the lowest overall latency overhead.
+ */
+constexpr Seconds
+peccCheckSeconds(PeccVariant variant)
+{
+    return variant == PeccVariant::None ? 0.0 : ns(0.34);
+}
 
 /** Timing/latency model of the two-stage STS shift. */
 class StsTiming

@@ -7,28 +7,6 @@
 namespace rtm
 {
 
-namespace
-{
-
-/** PeccVariant implied by a scheme (for geometry validation). */
-PeccVariant
-variantFor(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Baseline:
-      case Scheme::Sts:
-        return PeccVariant::None;
-      case Scheme::PeccO:
-        return PeccVariant::OverheadRegion;
-      case Scheme::DelIns:
-        return PeccVariant::DelIns;
-      default:
-        return PeccVariant::Standard;
-    }
-}
-
-} // anonymous namespace
-
 const ProtectionDomain &
 ProtectionPolicy::llcDomain() const
 {
@@ -139,11 +117,9 @@ protectionDomainError(const ProtectionDomain &domain,
 {
     const Scheme scheme =
         domain.has_scheme ? domain.scheme : base_scheme;
-    PeccConfig cfg;
+    PeccConfig cfg = schemeRow(scheme).pecc;
     cfg.num_segments = std::max(frames_per_group / seg_len, 1);
     cfg.seg_len = seg_len;
-    cfg.correct = std::max(schemeCorrectionStrength(scheme), 0);
-    cfg.variant = variantFor(scheme);
     cfg.codeword_frames = domain.codeword_frames;
     cfg.two_tier = domain.two_tier;
     return protectionGeometryError(cfg, frames_per_group);

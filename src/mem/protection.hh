@@ -178,7 +178,8 @@ ResolvedProtection resolveProtection(const ProtectionPolicy &policy,
 
 /**
  * Validate one domain against the bank geometry (delegates to
- * protectionGeometryError on the implied PeccConfig). Empty string
+ * protectionGeometryError on the effective scheme's row code at
+ * this stripe shape and codeword pooling). Empty string
  * when realisable, else a human-readable reason — spec parsing
  * turns it into a dotted-path diagnostic and exit 2.
  */

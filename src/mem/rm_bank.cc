@@ -11,44 +11,6 @@ namespace rtm
 namespace
 {
 
-/** Map scheme to shift policy flavour. */
-ShiftPolicy
-policyFor(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Baseline:
-      case Scheme::Sts:
-      case Scheme::SedPecc:
-      case Scheme::SecdedPecc:
-      case Scheme::LmPos:
-      case Scheme::DelIns:
-        return ShiftPolicy::Unconstrained;
-      case Scheme::PeccO:
-        return ShiftPolicy::StepByStep;
-      case Scheme::PeccSWorst:
-        return ShiftPolicy::WorstCase;
-      case Scheme::PeccSAdaptive:
-        return ShiftPolicy::Adaptive;
-    }
-    return ShiftPolicy::Unconstrained;
-}
-
-/** p-ECC window check latency folded into each shift op. */
-double
-checkSecondsFor(Scheme scheme)
-{
-    // All code-based schemes expose one cycle of in-path detection
-    // (the basic 0.34 ns window decode). The richer p-ECC-S
-    // controllers report longer detection in Table 5 (0.38/0.61 ns),
-    // but that extra logic pipelines with the next operation rather
-    // than stretching every shift - consistent with the paper's
-    // measurement that the adaptive scheme has the *lowest* overall
-    // latency overhead.
-    return (scheme == Scheme::Baseline || scheme == Scheme::Sts)
-               ? 0.0
-               : overheadsFor(Scheme::SecdedPecc).detect_time;
-}
-
 /** Sentinel: this stripe group has never shifted. */
 constexpr Cycles kNeverShifted =
     std::numeric_limits<Cycles>::max();
@@ -59,7 +21,7 @@ RmBank::RmBank(const RmBankConfig &config,
                const PositionErrorModel *model, const TechParams &tech)
     : config_(config), model_(model), tech_(tech),
       timing_(kDefaultClockHz, 0.4e-9, 1.0e-9,
-              checkSecondsFor(config.scheme)),
+              peccCheckSeconds(schemeRow(config.scheme).pecc.variant)),
       planner_(model, timing_,
                std::max(0, schemeCorrectionStrength(config.scheme)),
                config.seg_len - 1, config.mttf_target_s),
@@ -70,7 +32,7 @@ RmBank::RmBank(const RmBankConfig &config,
                              ? protection_.domains[0].scheme
                              : config.scheme,
                          protection_.domains[0].codeword_frames),
-      policy_(policyFor(config.scheme)),
+      policy_(schemeRow(config.scheme).policy),
       memo_enabled_(config.use_plan_memo)
 {
     if (!model_)
@@ -82,8 +44,7 @@ RmBank::RmBank(const RmBankConfig &config,
     for (size_t i = 0; i < protection_.domains.size(); ++i) {
         ProtectionDomain &d = protection_.domains[i];
         const Scheme es = d.has_scheme ? d.scheme : config_.scheme;
-        if (d.codeword_frames > 1 &&
-            schemeCorrectionStrength(es) < 0) {
+        if (d.codeword_frames > 1 && !schemeRow(es).hasCode()) {
             // An unprotected scheme has no code to pool: serve the
             // domain per-frame instead of refusing the whole sweep
             // cell (the standard matrix includes baseline options).
@@ -342,9 +303,9 @@ RmBank::shiftOpEnergy(int steps) const
     double energy = e1 * static_cast<double>(steps) + e2;
     // p-ECC detection once per shift operation, on every stripe of
     // the group.
-    if (config_.scheme != Scheme::Baseline &&
-        config_.scheme != Scheme::Sts) {
-        energy += overheadsFor(config_.scheme).detect_energy *
+    const SchemeRow &row = schemeRow(config_.scheme);
+    if (row.hasCode()) {
+        energy += row.overheads.detect_energy *
                   static_cast<double>(config_.stripes_per_group);
     }
     return energy;

@@ -150,11 +150,13 @@ struct RmBankConfig
      * Serve steady-state accesses from the per-bank shift-plan memo
      * (plan costs precomputed per (distance, interval bucket) at
      * construction) instead of replanning and refolding reliability
-     * on every access. Results are bit-identical either way — the
-     * memo is an exact cache keyed on everything the plan depends on
-     * — so this switch exists to bypass the memo where callers want
-     * the planner exercised live (fault campaigns that perturb bank
-     * state, golden cross-checks, baseline benchmarking).
+     * on every access. Results are bit-identical either way: the
+     * memo is an exact cache keyed on everything the plan depends
+     * on, and nothing a running bank does changes those keys
+     * (retiring a group only changes which group serves a frame).
+     * The live path stays as the memo's oracle: ReferenceHierarchy
+     * and the golden memo-vs-live test compare against it, and
+     * perfbench times it.
      */
     bool use_plan_memo = true;
 
@@ -205,12 +207,6 @@ class RmBank
 
     /** Reliability accumulator (mutable: simulator adds time). */
     MttfAccumulator &reliability() { return stats_.reliability; }
-
-    /** The planner (bench introspection). */
-    const ShiftPlanner &planner() const { return planner_; }
-
-    /** Scheme in effect. */
-    Scheme scheme() const { return config_.scheme; }
 
     /** Energy of one shift operation of `steps` steps (one group). */
     Joules shiftOpEnergy(int steps) const;
@@ -282,14 +278,6 @@ class RmBank
      * internally consistent. Empty string when consistent.
      */
     std::string ledgerViolation() const;
-
-    /**
-     * Rebuild the shift-plan memo from the current planner/scheme
-     * state. The bank's configuration is immutable today, so this
-     * only needs calling if that ever changes; construction calls it
-     * once.
-     */
-    void invalidatePlanMemo();
 
     /** Whether steady-state accesses are served from the memo. */
     bool planMemoEnabled() const { return memo_enabled_; }
@@ -396,6 +384,13 @@ class RmBank
 
     uint64_t groupOf(uint64_t frame) const;
     int indexInGroup(uint64_t frame) const;
+
+    /**
+     * Build the shift-plan memo from the planner/scheme state. The
+     * bank's configuration is immutable, so construction calls it
+     * once.
+     */
+    void invalidatePlanMemo();
 
     /** Reliability model of protection domain `dom`. */
     const ReliabilityModel &domainModel(int dom) const

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "codec/layout.hh"
 #include "util/logging.hh"
 #include "util/prob.hh"
 
@@ -27,37 +26,13 @@ ShiftReliability::none()
 ReliabilityModel::ReliabilityModel(const PositionErrorModel *model,
                                    Scheme scheme,
                                    int codeword_frames)
-    : model_(model), scheme_(scheme)
+    : model_(model)
 {
     if (!model_)
         rtm_fatal("reliability model needs an error model");
-    code_ = makeShiftCode(scheme);
-    correct_ = schemeCorrectionStrength(scheme);
-    if (code_ && code_->correctionRadius() != correct_)
-        rtm_panic("shift code radius %d disagrees with scheme "
-                  "strength %d", code_->correctionRadius(), correct_);
-    if (codeword_frames > 1 && code_ && correct_ >= 0) {
-        // Pooled codewords: F frames share one redundancy region
-        // whose extra check bits buy log2(F) more correction radius
-        // (spec validation already rejected geometries where the
-        // boosted radius does not fit the stripe tail). Re-derive
-        // the code at the boosted strength so the classification
-        // walk below sees the larger radius.
-        correct_ = pooledCorrect(correct_, codeword_frames);
-        if (scheme == Scheme::DelIns) {
-            code_ = std::make_shared<DelInsShiftCode>(correct_);
-        } else {
-            int w = 1;
-            while ((1 << w) < 2 * correct_ + 2)
-                ++w;
-            code_ = std::make_shared<CyclicPositionCode>(w, correct_);
-        }
-    }
-    // Residue period of the paper's w = m + 1 codes; the lm-pos
-    // default (w = 3, m = 2) happens to share it. Kept for
-    // introspection only - the decomposition below asks the shift
-    // code itself.
-    period_ = correct_ >= 0 ? (1 << (correct_ + 1)) : 0;
+    PeccConfig config = schemeRow(scheme).pecc;
+    config.codeword_frames = codeword_frames;
+    code_ = makeShiftCode(config);
 }
 
 ShiftReliability
@@ -74,7 +49,7 @@ ReliabilityModel::shiftOp(int distance) const
         return r;
     }
 
-    const int m = correct_;
+    const int m = code_->correctionRadius();
     // One batched ladder fetch covers every (sign, magnitude) the
     // classification walk below needs; values are bit-identical to
     // the per-call logProbStep evaluations this loop used to make.

@@ -60,9 +60,10 @@ class ReliabilityModel
      * @param codeword_frames frames pooling one codeword: F > 1
      *        boosts the correction radius by log2(F) (the shared
      *        redundancy region of a large codeword holds that many
-     *        more check bits per position), re-deriving the code the
-     *        decomposition classifies against. 1 is the paper's
-     *        per-frame code, bit-identical to the two-arg form.
+     *        more check bits per position); the decomposition
+     *        classifies against makeShiftCode's pooled code. 1 is
+     *        the paper's per-frame code, bit-identical to the
+     *        two-arg form.
      */
     ReliabilityModel(const PositionErrorModel *model, Scheme scheme,
                      int codeword_frames = 1);
@@ -76,23 +77,12 @@ class ReliabilityModel
      */
     ShiftReliability sequence(const std::vector<int> &parts) const;
 
-    /** Correction strength m implied by the scheme. */
-    int correctStrength() const { return correct_; }
-
-    /** Cyclic-code period implied by the scheme. */
-    int period() const { return period_; }
-
-    Scheme scheme() const { return scheme_; }
-
     /** Shift code driving the decomposition (nullptr = unprotected). */
     const ShiftCode *shiftCode() const { return code_.get(); }
 
   private:
     const PositionErrorModel *model_;
-    Scheme scheme_;
     std::shared_ptr<const ShiftCode> code_; //!< scheme's codec
-    int correct_; //!< m
-    int period_;  //!< T = 2^(m+1)
 };
 
 /**

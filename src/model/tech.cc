@@ -1,5 +1,8 @@
 #include "tech.hh"
 
+#include <iterator>
+
+#include "codec/shift_code.hh"
 #include "util/logging.hh"
 
 namespace rtm
@@ -25,6 +28,81 @@ constexpr EnumToken<Scheme> kSchemeRows[] = {
     {Scheme::DelIns, "del-ins-k"},
 };
 constexpr EnumTokens<Scheme> kSchemeTokens("scheme", kSchemeRows);
+
+namespace
+{
+
+/** A row's stripe code: variant, strength and window override. */
+constexpr PeccConfig
+code(PeccVariant variant, int correct, int window_ports = 0)
+{
+    PeccConfig c;
+    c.variant = variant;
+    c.correct = correct;
+    c.window_ports = window_ports;
+    return c;
+}
+
+/** SED and SECDED p-ECC share one Table 5 row. */
+constexpr ProtectionOverheads kPeccOverheads = {
+    ns(0.34), pJ(3.73), ns(1.34), pJ(6.16), 0.176, 54.0};
+
+/**
+ * The scheme table, in kSchemeRows' (and the enum's) order. The
+ * code-less rows keep PeccConfig's default m = 1: it is what the
+ * stress drill reports for an unprotected stripe.
+ */
+constexpr SchemeRow kSchemeTable[] = {
+    {Scheme::Baseline, code(PeccVariant::None, 1),
+     ShiftPolicy::Unconstrained, {}},
+    {Scheme::Sts, code(PeccVariant::None, 1),
+     ShiftPolicy::Unconstrained,
+     {ns(0.82), pJ(1.31), ns(0.82), pJ(1.31), 0.0, 1.94}},
+    {Scheme::SedPecc, code(PeccVariant::Standard, 0),
+     ShiftPolicy::Unconstrained, kPeccOverheads},
+    {Scheme::SecdedPecc, code(PeccVariant::Standard, 1),
+     ShiftPolicy::Unconstrained, kPeccOverheads},
+    {Scheme::PeccO, code(PeccVariant::OverheadRegion, 1),
+     ShiftPolicy::StepByStep,
+     {ns(0.34), pJ(3.74), ns(1.34), pJ(9.90), 0.157, 54.0}},
+    {Scheme::PeccSWorst, code(PeccVariant::Standard, 1),
+     ShiftPolicy::WorstCase,
+     {ns(0.38), pJ(3.75), ns(1.35), pJ(6.17), 0.176, 54.3}},
+    {Scheme::PeccSAdaptive, code(PeccVariant::Standard, 1),
+     ShiftPolicy::Adaptive,
+     {ns(0.61), pJ(3.86), ns(1.37), pJ(6.19), 0.176, 109.4}},
+    // Not in the paper's Table 5: estimated by scaling the SECDED
+    // row for the one extra window port / comparator stage (w = 3
+    // vs 2) of the limited-magnitude code.
+    {Scheme::LmPos,
+     code(PeccVariant::Standard, kLmPosCorrect, kLmPosWindow),
+     ShiftPolicy::Unconstrained,
+     {ns(0.38), pJ(4.10), ns(1.34), pJ(6.80), 0.185, 61.0}},
+    // Estimate: the VT-syndrome decoder is combinational per class,
+    // but detection is folded into the streaming readout; storage
+    // overhead is the per-track check bits (~log2 L per interleave
+    // class) instead of a dedicated code region.
+    {Scheme::DelIns, code(PeccVariant::DelIns, kDelInsStrength),
+     ShiftPolicy::Unconstrained,
+     {ns(0.34), pJ(4.40), ns(1.50), pJ(8.20), 0.130, 88.0}},
+};
+
+consteval bool
+schemeTableInOrder()
+{
+    if (std::size(kSchemeTable) != std::size(kSchemeRows))
+        return false;
+    for (size_t i = 0; i < std::size(kSchemeTable); ++i) {
+        if (kSchemeTable[i].scheme != static_cast<Scheme>(i) ||
+            kSchemeRows[i].value != static_cast<Scheme>(i))
+            return false;
+    }
+    return true;
+}
+static_assert(schemeTableInOrder(),
+              "one scheme-table row per token row, in enum order");
+
+} // anonymous namespace
 
 const EnumTokens<MemTech> &
 enumTokens(MemTech)
@@ -174,101 +252,33 @@ schemeFromToken(const std::string &token, Scheme *out)
     return kSchemeTokens.parse(token, out);
 }
 
+std::span<const SchemeRow>
+schemeTable()
+{
+    return kSchemeTable;
+}
+
+const SchemeRow &
+schemeRow(Scheme scheme)
+{
+    const auto i = static_cast<size_t>(scheme);
+    if (i >= std::size(kSchemeTable))
+        rtm_panic("unknown scheme %zu", i);
+    return kSchemeTable[i];
+}
+
 int
 schemeCorrectionStrength(Scheme scheme)
 {
-    switch (scheme) {
-      case Scheme::Baseline:
-      case Scheme::Sts:
-        return -1; // no code at all
-      case Scheme::SedPecc:
-        return 0;
-      case Scheme::SecdedPecc:
-      case Scheme::PeccO:
-      case Scheme::PeccSWorst:
-      case Scheme::PeccSAdaptive:
-        return 1;
-      case Scheme::LmPos:
-        return 2; // w = 3 window, T = 8 >= 2m + 2
-      case Scheme::DelIns:
-        return 2; // k = 2 deletions/insertions per readout
-    }
-    return -1;
+    const SchemeRow &row = schemeRow(scheme);
+    return row.hasCode() ? row.pecc.correct : -1;
 }
 
 ProtectionOverheads
 overheadsFor(Scheme scheme)
 {
     // Paper Table 5 (45 nm synthesis).
-    ProtectionOverheads o;
-    switch (scheme) {
-      case Scheme::Baseline:
-        break;
-      case Scheme::Sts:
-        o.detect_time = ns(0.82);
-        o.detect_energy = pJ(1.31);
-        o.correct_time = ns(0.82);
-        o.correct_energy = pJ(1.31);
-        o.controller_area_um2 = 1.94;
-        break;
-      case Scheme::SedPecc:
-      case Scheme::SecdedPecc:
-        o.detect_time = ns(0.34);
-        o.detect_energy = pJ(3.73);
-        o.correct_time = ns(1.34);
-        o.correct_energy = pJ(6.16);
-        o.cell_area_overhead = 0.176;
-        o.controller_area_um2 = 54.0;
-        break;
-      case Scheme::PeccO:
-        o.detect_time = ns(0.34);
-        o.detect_energy = pJ(3.74);
-        o.correct_time = ns(1.34);
-        o.correct_energy = pJ(9.90);
-        o.cell_area_overhead = 0.157;
-        o.controller_area_um2 = 54.0;
-        break;
-      case Scheme::PeccSWorst:
-        o.detect_time = ns(0.38);
-        o.detect_energy = pJ(3.75);
-        o.correct_time = ns(1.35);
-        o.correct_energy = pJ(6.17);
-        o.cell_area_overhead = 0.176;
-        o.controller_area_um2 = 54.3;
-        break;
-      case Scheme::PeccSAdaptive:
-        o.detect_time = ns(0.61);
-        o.detect_energy = pJ(3.86);
-        o.correct_time = ns(1.37);
-        o.correct_energy = pJ(6.19);
-        o.cell_area_overhead = 0.176;
-        o.controller_area_um2 = 109.4;
-        break;
-      case Scheme::LmPos:
-        // Not in the paper's Table 5: estimated by scaling the
-        // SECDED row for the one extra window port / comparator
-        // stage (w = 3 vs 2) of the limited-magnitude code.
-        o.detect_time = ns(0.38);
-        o.detect_energy = pJ(4.10);
-        o.correct_time = ns(1.34);
-        o.correct_energy = pJ(6.80);
-        o.cell_area_overhead = 0.185;
-        o.controller_area_um2 = 61.0;
-        break;
-      case Scheme::DelIns:
-        // Estimate: the VT-syndrome decoder is combinational per
-        // class, but detection is folded into the streaming readout;
-        // storage overhead is the per-track check bits (~log2 L per
-        // interleave class) instead of a dedicated code region.
-        o.detect_time = ns(0.34);
-        o.detect_energy = pJ(4.40);
-        o.correct_time = ns(1.50);
-        o.correct_energy = pJ(8.20);
-        o.cell_area_overhead = 0.130;
-        o.controller_area_um2 = 88.0;
-        break;
-    }
-    return o;
+    return schemeRow(scheme).overheads;
 }
 
 } // namespace rtm

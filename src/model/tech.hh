@@ -14,8 +14,11 @@
 #define RTM_MODEL_TECH_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 
+#include "codec/layout.hh"
+#include "control/adapter.hh"
 #include "util/enum_tokens.hh"
 #include "util/units.hh"
 
@@ -127,12 +130,47 @@ bool schemeFromToken(const std::string &token, Scheme *out);
 const EnumTokens<Scheme> &enumTokens(Scheme);
 
 /**
+ * Everything a protection scheme is, declared once per scheme in the
+ * scheme table (tech.cc): the code its stripes run, how its shifts
+ * are planned, and what it costs per operation.
+ */
+struct SchemeRow
+{
+    Scheme scheme;
+
+    /**
+     * The stripe code's core: variant, strength m (k for del-ins)
+     * and window override. The stripe shape and codeword pooling
+     * are the caller's (their PeccConfig defaults otherwise).
+     */
+    PeccConfig pecc;
+
+    /** Shift decomposition the bank plans under. */
+    ShiftPolicy policy;
+
+    /** Table 5 costs (estimates for the schemes it lacks). */
+    ProtectionOverheads overheads;
+
+    /** Whether the scheme runs a position code at all. */
+    constexpr bool hasCode() const
+    {
+        return pecc.variant != PeccVariant::None;
+    }
+};
+
+/** The scheme table: one row per Scheme, in enum order. */
+std::span<const SchemeRow> schemeTable();
+
+/** The scheme's row of the scheme table. */
+const SchemeRow &schemeRow(Scheme scheme);
+
+/**
  * Correction radius the scheme's shift code claims: the largest
  * per-operation position error |e| decoded back to the exact data.
- * -1 for the code-less schemes (Baseline/STS), 0 for detect-only SED,
- * 1 for the SECDED p-ECC family, and the configured radius of the
- * shift-code family (lm-pos, del-ins-k). Shared by the analytic
- * reliability model and the bank's shift planner (which clamps at 0).
+ * -1 for the code-less schemes (Baseline/STS), else the row's m: 0
+ * for detect-only SED, 1 for the SECDED p-ECC family, the configured
+ * radius of lm-pos and del-ins-k. Shared by the analytic reliability
+ * model and the bank's shift planner (which clamps at 0).
  */
 int schemeCorrectionStrength(Scheme scheme);
 

@@ -225,9 +225,6 @@ runFaultDrill(const ScenarioSpec &spec,
     bank_config.line_frames = config.bank_frames;
     bank_config.scheme = Scheme::PeccSAdaptive;
     bank_config.group_retry_budget = config.group_retry_budget;
-    // Fault scenarios perturb bank state mid-run; exercise the live
-    // planner rather than the steady-state plan memo.
-    bank_config.use_plan_memo = false;
     bank_config.telemetry = telemetry;
     TechParams tech = l3For(MemTech::Racetrack);
     RmBank bank(bank_config, scaled.get(), tech);

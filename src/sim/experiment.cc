@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -351,12 +352,19 @@ checkStress(SpecReader &r, StressSpec *s)
 {
     Scheme scheme;
     PeccConfig cfg;
-    if (!stressSchemeConfig(s->scheme, &scheme, &cfg))
+    const bool known = stressSchemeConfig(s->scheme, &scheme, &cfg);
+    if (!known)
         r.fail("scheme", "unknown scheme '" + s->scheme + "'");
     if (s->scale <= 0.0)
         r.fail("scale", "must be > 0");
-    if (s->lseg < 2)
+    if (s->lseg < 2) {
         r.fail("lseg", "must be >= 2");
+    } else if (known) {
+        cfg.seg_len = s->lseg;
+        const std::string err = protectionGeometryError(cfg, 0);
+        if (!err.empty())
+            r.fail("lseg", err);
+    }
 }
 
 constexpr Field<StressSpec> kStressFields[] = {
@@ -585,21 +593,14 @@ constexpr Field<McRunResult> kMcResultFields[] = {
         nested<kFitFields, &McRunResult::fit>("fit")),
 };
 
-/** The stripe drill's schemes and the stripe code each runs. */
-struct StressScheme
-{
-    Scheme scheme;
-    int correct;
-    PeccVariant variant;
-    int window_ports;
-};
-constexpr StressScheme kStressSchemes[] = {
-    {Scheme::Baseline, 1, PeccVariant::None, 0},
-    {Scheme::SedPecc, 0, PeccVariant::Standard, 0},
-    {Scheme::PeccO, 1, PeccVariant::OverheadRegion, 0},
-    {Scheme::SecdedPecc, 1, PeccVariant::Standard, 0},
-    {Scheme::LmPos, kLmPosCorrect, PeccVariant::Standard, kLmPosWindow},
-    {Scheme::DelIns, kDelInsStrength, PeccVariant::DelIns, 0},
+/**
+ * The stripe drill's schemes; each runs its scheme row's code. The
+ * p-ECC-S schemes and STS differ from these only in shift planning
+ * or controller timing, which the drill does not model.
+ */
+constexpr Scheme kStressSchemes[] = {
+    Scheme::Baseline, Scheme::SedPecc, Scheme::PeccO,
+    Scheme::SecdedPecc, Scheme::LmPos, Scheme::DelIns,
 };
 
 } // anonymous namespace
@@ -917,21 +918,19 @@ stressSchemeConfig(const std::string &token, Scheme *scheme,
                    PeccConfig *config)
 {
     Scheme parsed;
-    if (!schemeFromToken(token, &parsed))
+    if (!schemeFromToken(token, &parsed) ||
+        std::find(std::begin(kStressSchemes), std::end(kStressSchemes),
+                  parsed) == std::end(kStressSchemes))
         return false;
-    for (const StressScheme &row : kStressSchemes) {
-        if (row.scheme != parsed)
-            continue;
-        // The stripe drill shares one stripe between two ports;
-        // seg_len is the caller's (the --lseg flag / stress.lseg).
-        *scheme = parsed;
-        config->num_segments = 2;
-        config->correct = row.correct;
-        config->variant = row.variant;
-        config->window_ports = row.window_ports;
-        return true;
-    }
-    return false;
+    // The stripe drill shares one stripe between two ports; seg_len
+    // is the caller's (the --lseg flag / stress.lseg).
+    const PeccConfig &code = schemeRow(parsed).pecc;
+    *scheme = parsed;
+    config->num_segments = 2;
+    config->correct = code.correct;
+    config->variant = code.variant;
+    config->window_ports = code.window_ports;
+    return true;
 }
 
 StressResult

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/del_ins.hh"
 #include "codec/layout.hh"
 
 namespace rtm
@@ -84,10 +85,35 @@ TEST(Layout, CodewordAccountingReducesToPerFrameAtOneFrame)
     PeccLayout lay =
         computeLayout(cfg(8, 8, 1, PeccVariant::Standard));
     EXPECT_EQ(lay.config.effectiveCorrect(), 1);
-    EXPECT_EQ(lay.codewordExtraDomains(), lay.extraDomains());
-    EXPECT_DOUBLE_EQ(lay.codewordStorageOverhead(),
-                     lay.storageOverhead());
+    const PeccConfig code = lay.config.pooledCode();
+    EXPECT_EQ(code.correct, 1);
+    EXPECT_EQ(code.window(), 2);
+    EXPECT_EQ(computeLayout(code).extraDomains(), lay.extraDomains());
     EXPECT_EQ(lay.redundancyAccessesPerWrite(), 0);
+}
+
+TEST(Layout, PooledCodeRunsOnTheNarrowestWindow)
+{
+    // Strength m + log2(F) on the smallest w with 2m' + 2 <= 2^w.
+    const struct
+    {
+        int correct, frames, pooled, window;
+    } cases[] = {{1, 2, 2, 3}, {1, 4, 3, 3}, {1, 8, 4, 4},
+                 {0, 2, 1, 2}, {2, 2, 3, 3}, {2, 8, 5, 4}};
+    for (const auto &k : cases) {
+        PeccConfig c = cfg(8, 8, k.correct, PeccVariant::Standard);
+        c.codeword_frames = k.frames;
+        const PeccConfig code = c.pooledCode();
+        EXPECT_EQ(code.correct, k.pooled) << k.correct << "/" << k.frames;
+        EXPECT_EQ(code.window(), k.window)
+            << k.correct << "/" << k.frames;
+        EXPECT_EQ(code.codeword_frames, 1);
+    }
+    // The del-ins track code pools its burst strength, no window.
+    PeccConfig di = cfg(8, 8, 2, PeccVariant::DelIns);
+    di.codeword_frames = 2;
+    EXPECT_EQ(di.pooledCode().correct, 3);
+    EXPECT_EQ(di.pooledCode().window_ports, 0);
 }
 
 TEST(Layout, PooledStrengthGrowsLogarithmically)
@@ -115,8 +141,11 @@ TEST(Layout, CodewordOverheadFallsMonotonicallyWithFrames)
     for (int frames : {1, 2, 4, 8}) {
         PeccConfig c = cfg(8, 8, 1, PeccVariant::Standard);
         c.codeword_frames = frames;
-        PeccLayout lay = computeLayout(c);
-        const double overhead = lay.codewordStorageOverhead();
+        // One shared region runs the pooled code for all F frames.
+        const double overhead =
+            static_cast<double>(
+                computeLayout(c.pooledCode()).extraDomains()) /
+            (frames * c.dataDomains());
         EXPECT_LT(overhead, prev) << "F " << frames;
         EXPECT_GT(overhead, 0.0);
         prev = overhead;
@@ -144,6 +173,25 @@ TEST(Layout, GeometryErrorDiagnosesBadCodewordFrames)
     // frames_per_group = 0 skips the group checks (stripe-level
     // uses).
     EXPECT_EQ(protectionGeometryError(straddle, 0), "");
+}
+
+TEST(Layout, GeometryErrorDiagnosesTooShortSegments)
+{
+    // p-ECC strength is bounded by the largest offset, Lseg - 1.
+    EXPECT_EQ(protectionGeometryError(
+                  cfg(2, 2, 1, PeccVariant::Standard), 0), "");
+    EXPECT_NE(protectionGeometryError(
+                  cfg(2, 2, 2, PeccVariant::Standard), 0), "");
+    // A k = 2 del-ins track needs k < L, and room for data beside
+    // its check bits: L = 4 holds only check bits, L = 5 one datum.
+    for (int lseg : {2, 3, 4})
+        EXPECT_NE(protectionGeometryError(
+                      cfg(2, lseg, 2, PeccVariant::DelIns), 0), "")
+            << "Lseg " << lseg;
+    EXPECT_EQ(protectionGeometryError(
+                  cfg(2, 5, 2, PeccVariant::DelIns), 0), "");
+    EXPECT_EQ(DelInsCode::dataBitsFor(5, 2),
+              DelInsCode(2, 5, 2).dataBitsPerTrack());
 }
 
 TEST(Layout, BaselineHasNoProtectionCosts)

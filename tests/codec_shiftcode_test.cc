@@ -33,6 +33,7 @@
 
 #include "codec/del_ins.hh"
 #include "codec/shift_code.hh"
+#include "model/tech.hh"
 
 namespace rtm
 {
@@ -173,19 +174,26 @@ TEST(LmPosShiftCode, NarrowWindowIsRejected)
 
 TEST(MakeShiftCode, RadiiMatchSchemeStrengths)
 {
-    for (Scheme s :
-         {Scheme::Baseline, Scheme::Sts, Scheme::SedPecc,
-          Scheme::SecdedPecc, Scheme::PeccO, Scheme::PeccSWorst,
-          Scheme::PeccSAdaptive, Scheme::LmPos, Scheme::DelIns}) {
-        auto code = makeShiftCode(s);
-        if (schemeCorrectionStrength(s) < 0) {
-            EXPECT_EQ(code, nullptr) << schemeToken(s);
-        } else {
-            ASSERT_NE(code, nullptr) << schemeToken(s);
-            EXPECT_EQ(code->correctionRadius(),
-                      schemeCorrectionStrength(s))
-                << schemeToken(s);
+    for (const SchemeRow &row : schemeTable()) {
+        const char *token = schemeToken(row.scheme);
+        auto code = makeShiftCode(row.pecc);
+        if (!row.hasCode()) {
+            EXPECT_EQ(code, nullptr) << token;
+            EXPECT_EQ(schemeCorrectionStrength(row.scheme), -1)
+                << token;
+            continue;
         }
+        ASSERT_NE(code, nullptr) << token;
+        EXPECT_EQ(code->correctionRadius(),
+                  schemeCorrectionStrength(row.scheme))
+            << token;
+        // Every coded row is a realisable stripe at the default
+        // Lseg = 8 (computeLayout aborts on a rejected geometry).
+        PeccConfig c = row.pecc;
+        c.seg_len = 8;
+        EXPECT_EQ(protectionGeometryError(c, 0), "") << token;
+        EXPECT_EQ(computeLayout(c).config.correct, row.pecc.correct)
+            << token;
     }
 }
 
@@ -444,10 +452,18 @@ TEST(DelInsShiftCode, ClassifyAndAccounting)
         EXPECT_EQ(code.classify(e), ErrorClass::Corrected) << e;
     for (int e : {-5, -4, -3, 3, 4, 5})
         EXPECT_EQ(code.classify(e), ErrorClass::Ambiguous) << e;
-    EXPECT_EQ(code.extraReadPorts(), 0);
+    // Its storage is the in-track check bits plus the flush-read
+    // sentinel, with no window ports.
+    PeccConfig c;
+    c.num_segments = 4;
+    c.seg_len = 8;
+    c.correct = 2;
+    c.variant = PeccVariant::DelIns;
+    const PeccLayout lay = computeLayout(c);
     DelInsCode ref(4, 8, 2);
-    EXPECT_EQ(code.redundancyDomains(4, 8),
+    EXPECT_EQ(lay.extraDomains(),
               4 * ref.checkBitsPerTrack() + ref.flushReads());
+    EXPECT_EQ(lay.extraReadPorts(), 0);
 }
 
 } // namespace

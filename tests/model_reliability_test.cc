@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "model/reliability.hh"
 #include "util/prob.hh"
@@ -57,6 +59,37 @@ TEST_F(RelFixture, SecdedCorrectsOneDetectsTwo)
     // SDC: |k| = 3 miscorrection channel only (tiny).
     EXPECT_LT(r.log_sdc, std::log(1e-18));
     EXPECT_GT(std::exp(r.log_due), std::exp(r.log_sdc));
+}
+
+TEST_F(RelFixture, PooledSecdedClassificationIsPinned)
+{
+    // One letter per step error e = -9..-1, 1..9: Corrected,
+    // Miscorrected (SDC), Ambiguous (DUE), Silent (SDC). A pooled
+    // codeword of F frames runs m' = 1 + log2(F) on the narrowest
+    // window with 2m' + 2 <= 2^w: (w, m') = (2,1) (3,2) (3,3) (4,4).
+    const std::pair<int, const char *> pinned[] = {
+        {1, "MSMAMSMACCAMSMAMSM"},
+        {2, "MSMMAAACCCCAAAMMSM"},
+        {4, "MSMMMACCCCCCAMMMSM"},
+        {8, "AAAAACCCCCCCCAAAAA"},
+    };
+    for (const auto &[frames, letters] : pinned) {
+        ReliabilityModel rel(&model_, Scheme::SecdedPecc, frames);
+        ASSERT_NE(rel.shiftCode(), nullptr);
+        std::string got;
+        for (int e = -9; e <= 9; ++e) {
+            if (e == 0)
+                continue;
+            switch (rel.shiftCode()->classify(e)) {
+              case ErrorClass::Ok: got += 'O'; break;
+              case ErrorClass::Corrected: got += 'C'; break;
+              case ErrorClass::Miscorrected: got += 'M'; break;
+              case ErrorClass::Ambiguous: got += 'A'; break;
+              case ErrorClass::Silent: got += 'S'; break;
+            }
+        }
+        EXPECT_EQ(got, letters) << "F " << frames;
+    }
 }
 
 TEST_F(RelFixture, SchemeOrderingForSdc)
