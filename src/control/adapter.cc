@@ -1,6 +1,6 @@
 #include "adapter.hh"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/logging.hh"
 #include "util/prob.hh"
@@ -25,80 +25,77 @@ enumTokens(ShiftPolicy)
 
 ShiftAdapter::ShiftAdapter(const ShiftPlanner *planner,
                            ShiftPolicy policy,
-                           double peak_ops_per_second)
+                           double peak_ops_per_second,
+                           int interleave_ways)
     : planner_(planner), policy_(policy)
 {
     if (!planner_)
         rtm_fatal("adapter needs a planner");
+    if (interleave_ways < 1)
+        rtm_fatal("adapter needs interleave_ways >= 1, got %d",
+                  interleave_ways);
+    interleave_ways_ = static_cast<Cycles>(interleave_ways);
     worst_case_distance_ =
         planner_->safeDistance(peak_ops_per_second);
+
+    const size_t n = static_cast<size_t>(planner_->maxPart()) + 1;
+    steps_.resize(n);
+    fixed_.resize(n);
+    candidates_.resize(n);
+    for (int d = 1; d <= planner_->maxPart(); ++d) {
+        const size_t i = static_cast<size_t>(d);
+        steps_[i] = fixedSplit(d, 1);
+        switch (policy_) {
+          case ShiftPolicy::Unconstrained:
+            // Every shift operation pays the fixed stage-2 cost, so
+            // the one-shot plan {d} is the front's fastest element.
+            fixed_[i] = planner_->paretoFront(d).front();
+            break;
+          case ShiftPolicy::StepByStep:
+            fixed_[i] = steps_[i];
+            break;
+          case ShiftPolicy::WorstCase:
+            fixed_[i] = fixedSplit(d, worst_case_distance_);
+            break;
+          case ShiftPolicy::Adaptive:
+            candidates_[i] = planner_->paretoFront(d);
+            continue;
+        }
+        candidates_[i] = {&fixed_[i], 1};
+    }
 }
 
-const SequencePlan &
-ShiftAdapter::fixedPartsPlan(int distance, int part)
+SequencePlan
+ShiftAdapter::fixedSplit(int distance, int part) const
 {
-    scratch_.parts.clear();
-    scratch_.log_fail_rate =
-        -std::numeric_limits<double>::infinity();
-    scratch_.latency = 0;
-    int remaining = distance;
-    while (remaining > 0) {
-        int p = std::min(remaining, part);
-        scratch_.parts.push_back(p);
-        scratch_.log_fail_rate = logSumExp(
-            scratch_.log_fail_rate, planner_->logFailRate(p));
+    SequencePlan plan;
+    plan.log_fail_rate = -std::numeric_limits<double>::infinity();
+    for (int remaining = distance; remaining > 0;) {
+        const int p = std::min(remaining, part);
+        plan.parts.push_back(p);
+        plan.log_fail_rate =
+            logSumExp(plan.log_fail_rate, planner_->logFailRate(p));
+        // The front of a p-step request always holds the one-shot
+        // plan {p} as its fastest element.
+        plan.latency += planner_->paretoFront(p).front().latency;
         remaining -= p;
     }
-    scratch_.min_interval = 0;
-    // Latency: sum of per-part shift cycles via the planner's Pareto
-    // data is not available for arbitrary splits, so recompute from
-    // the front of each single part (front of d=p always contains the
-    // one-shot plan {p} as its fastest element).
-    Cycles lat = 0;
-    for (int p : scratch_.parts)
-        lat += planner_->paretoFront(p).front().latency;
-    scratch_.latency = lat;
-    return scratch_;
+    return plan;
 }
 
 const SequencePlan &
-ShiftAdapter::cautiousPlan(int distance)
+ShiftAdapter::cautiousPlan(int distance) const
 {
-    if (distance < 1 || distance > planner_->maxPart())
-        rtm_panic("adapter cautiousPlan(%d) outside [1, %d]",
-                  distance, planner_->maxPart());
-    return fixedPartsPlan(distance, 1);
+    if (distance < 1 || static_cast<size_t>(distance) >= steps_.size())
+        badDistance(distance);
+    return steps_[static_cast<size_t>(distance)];
 }
 
-const SequencePlan &
-ShiftAdapter::plan(int distance, Cycles now_cycles)
+void
+ShiftAdapter::badDistance(int distance) const
 {
-    if (distance < 1 || distance > planner_->maxPart())
-        rtm_panic("adapter plan(%d) outside [1, %d]", distance,
-                  planner_->maxPart());
-    Cycles interval;
-    if (first_) {
-        interval = std::numeric_limits<Cycles>::max();
-        first_ = false;
-    } else {
-        interval = now_cycles > last_request_
-                       ? now_cycles - last_request_
-                       : 0;
-    }
-    last_interval_ = interval;
-    last_request_ = now_cycles;
-
-    switch (policy_) {
-      case ShiftPolicy::Unconstrained:
-        return planner_->paretoFront(distance).front();
-      case ShiftPolicy::StepByStep:
-        return fixedPartsPlan(distance, 1);
-      case ShiftPolicy::WorstCase:
-        return fixedPartsPlan(distance, worst_case_distance_);
-      case ShiftPolicy::Adaptive:
-        return planner_->planFor(distance, interval);
-    }
-    rtm_panic("unreachable policy");
+    rtm_panic("adapter request of %d steps outside [1, %d]", distance,
+              planner_->maxPart());
 }
 
 } // namespace rtm

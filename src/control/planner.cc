@@ -124,18 +124,7 @@ const SequencePlan &
 ShiftPlanner::planFor(int distance, Cycles interval_cycles) const
 {
     const auto &front = paretoFront(distance);
-    return front[planIndexFor(distance, interval_cycles)];
-}
-
-size_t
-ShiftPlanner::planIndexFor(int distance, Cycles interval_cycles) const
-{
-    const auto &front = paretoFront(distance);
-    for (size_t i = 0; i < front.size(); ++i) {
-        if (front[i].min_interval <= interval_cycles)
-            return i;
-    }
-    return front.size() - 1; // safest available
+    return front[firstSafePlan(front, interval_cycles)];
 }
 
 const SequencePlan &

@@ -21,7 +21,9 @@
 #ifndef RTM_CONTROL_PLANNER_HH
 #define RTM_CONTROL_PLANNER_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "control/sts.hh"
@@ -41,6 +43,23 @@ struct SequencePlan
     Cycles latency = 0;         //!< total shift cycles
     Cycles min_interval = 0;    //!< smallest safe request interval
 };
+
+/**
+ * The selection rule over plans ordered fastest first: the index of
+ * the first plan that is safe at `interval_cycles` (its min_interval
+ * is met), or of the last, safest plan when none is.
+ */
+inline size_t
+firstSafePlan(std::span<const SequencePlan> plans,
+              Cycles interval_cycles)
+{
+    const size_t safest = plans.size() - 1;
+    for (size_t i = 0; i < safest; ++i) {
+        if (plans[i].min_interval <= interval_cycles)
+            return i;
+    }
+    return safest;
+}
 
 /**
  * Planner for one protection configuration.
@@ -73,15 +92,6 @@ class ShiftPlanner
      */
     const SequencePlan &planFor(int distance,
                                 Cycles interval_cycles) const;
-
-    /**
-     * Index into paretoFront(distance) of the plan planFor() would
-     * return. Memo tables (RmBank) cache per-plan costs and use the
-     * front's min_interval thresholds as their interval buckets; this
-     * accessor lets them (and the golden tests) share the exact
-     * selection rule.
-     */
-    size_t planIndexFor(int distance, Cycles interval_cycles) const;
 
     /**
      * Worst-case-safe plan for a sustained intensity

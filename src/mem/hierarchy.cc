@@ -114,6 +114,8 @@ Hierarchy::exportTelemetry(Telemetry &sink) const
     level("l3", l3_->stats());
     sink.counter("mem.dram.accesses").add(dram_accesses_);
     sink.gauge("mem.dram.energy_joules").set(dram_energy_);
+    if (rm_bank_)
+        rm_bank_->exportTelemetry(sink);
 }
 
 double

@@ -135,10 +135,11 @@ class Hierarchy
 
     /**
      * Export cumulative per-level hit/miss/writeback counters (L1
-     * summed across cores, L2 across clusters, L3, DRAM) into
-     * `sink`'s registry. End-of-run snapshot: cheaper than
-     * per-access instrumentation and exactly consistent with the
-     * CacheStats ledgers.
+     * summed across cores, L2 across clusters, L3, DRAM) and the
+     * racetrack bank's ledger counters into `sink`'s registry.
+     * End-of-run snapshot: cheaper than per-access instrumentation
+     * and exactly consistent with the CacheStats/RmBankStats
+     * ledgers.
      */
     void exportTelemetry(Telemetry &sink) const;
 

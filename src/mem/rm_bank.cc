@@ -25,6 +25,9 @@ RmBank::RmBank(const RmBankConfig &config,
       planner_(model, timing_,
                std::max(0, schemeCorrectionStrength(config.scheme)),
                config.seg_len - 1, config.mttf_target_s),
+      adapter_(&planner_, schemeRow(config.scheme).policy,
+               config.peak_ops_per_second,
+               std::max(config.interleave_ways, 1)),
       protection_(resolveProtection(config.protection,
                                     config.line_frames)),
       reliability_model_(model,
@@ -32,7 +35,6 @@ RmBank::RmBank(const RmBankConfig &config,
                              ? protection_.domains[0].scheme
                              : config.scheme,
                          protection_.domains[0].codeword_frames),
-      policy_(schemeRow(config.scheme).policy),
       memo_enabled_(config.use_plan_memo)
 {
     if (!model_)
@@ -85,59 +87,13 @@ RmBank::RmBank(const RmBankConfig &config,
     geom.seg_len = config_.seg_len;
     placement_ = makePlacementPolicy(geom, config_.placement,
                                      config_.head_policy);
-    // A cold memory has been idle "forever": the adaptive policy may
-    // use its most permissive plan on the very first shift.
-    last_shift_ = kNeverShifted;
-    worst_case_distance_ =
-        planner_.safeDistance(config_.peak_ops_per_second);
     invalidatePlanMemo();
 
     if (config_.telemetry) {
-        Telemetry &t = *config_.telemetry.get();
-        t_events_ = &t;
-        t_accesses_ = &t.counter("mem.rm_bank.accesses");
-        t_shift_ops_ = &t.counter("mem.rm_bank.shift_ops");
-        t_shift_steps_ = &t.counter("mem.rm_bank.shift_steps");
-        t_remaps_ = &t.counter("mem.rm_bank.remapped_accesses");
-        t_due_reports_ = &t.counter("mem.rm_bank.due_reports");
-        t_retired_ = &t.counter("mem.rm_bank.groups_retired");
-        t_migrations_ = &t.counter("mem.rm_bank.migrations");
-        t_migration_steps_ =
-            &t.counter("mem.rm_bank.migration_steps");
-        t_shift_latency_ = &t.histogram(
+        t_events_ = config_.telemetry.get();
+        t_shift_latency_ = &t_events_->histogram(
             "mem.rm_bank.shift_latency_cycles", powerOfTwoEdges(4096));
     }
-}
-
-/**
- * Decompose `distance` into sub-shift parts exactly as the live
- * (non-memo) access path does for the bank's policy. The adaptive
- * policy is handled by the caller (one memo entry per Pareto plan).
- */
-static std::vector<int>
-staticPartsFor(ShiftPolicy policy, int distance, int worst_case)
-{
-    std::vector<int> parts;
-    switch (policy) {
-      case ShiftPolicy::Unconstrained:
-        parts = {distance};
-        break;
-      case ShiftPolicy::StepByStep:
-        parts.assign(static_cast<size_t>(distance), 1);
-        break;
-      case ShiftPolicy::WorstCase: {
-        int remaining = distance;
-        while (remaining > 0) {
-            int p = std::min(remaining, worst_case);
-            parts.push_back(p);
-            remaining -= p;
-        }
-        break;
-      }
-      case ShiftPolicy::Adaptive:
-        break; // caller enumerates the Pareto front instead
-    }
-    return parts;
 }
 
 void
@@ -147,68 +103,51 @@ RmBank::invalidatePlanMemo()
     one_step_energy_ = shiftOpEnergy(1);
 
     // Heads travel within one segment, so every request distance is
-    // in [1, seg_len - 1]; precompute each distance's decomposition
-    // cost with the identical per-part fold the live path performs,
-    // so serving from the memo reproduces its arithmetic bit for
-    // bit.
+    // in [1, seg_len - 1]; precompute each candidate plan's cost with
+    // the identical per-part fold the live path performs, so serving
+    // from the memo reproduces its arithmetic bit for bit.
     const int max_distance = config_.seg_len - 1;
     plan_memo_.assign(static_cast<size_t>(std::max(max_distance, 0)),
                       {});
     drift_memo_.assign(static_cast<size_t>(max_distance) + 1,
                        PlanCost{});
     for (int d = 1; d <= max_distance; ++d) {
-        std::vector<std::vector<int>> decomps;
-        std::vector<Cycles> intervals;
-        if (policy_ == ShiftPolicy::Adaptive) {
-            // One interval bucket per Pareto plan, in planFor's scan
-            // order: the first entry whose min_interval the observed
-            // interval meets is the plan the planner would pick.
-            for (const SequencePlan &plan : planner_.paretoFront(d)) {
-                decomps.push_back(plan.parts);
-                intervals.push_back(plan.min_interval);
-            }
-        } else {
-            decomps.push_back(
-                staticPartsFor(policy_, d, worst_case_distance_));
-            intervals.push_back(0);
-        }
         auto &entries = plan_memo_[static_cast<size_t>(d - 1)];
-        entries.reserve(decomps.size());
-        for (size_t i = 0; i < decomps.size(); ++i) {
-            PlanCost pc;
-            pc.min_interval = intervals[i];
-            for (int p : decomps[i]) {
-                pc.latency += timing_.shiftCycles(p);
-                pc.energy += shiftOpEnergy(p);
-                pc.total_steps += p;
-                ++pc.sub_shifts;
-            }
-            ShiftReliability rel =
-                reliability_model_.sequence(decomps[i]);
-            pc.sdc_prob = std::exp(rel.log_sdc);
-            pc.due_prob = std::exp(rel.log_due);
-            for (const ReliabilityModel &dm : extra_models_) {
-                ShiftReliability r = dm.sequence(decomps[i]);
-                pc.extra_sdc.push_back(std::exp(r.log_sdc));
-                pc.extra_due.push_back(std::exp(r.log_due));
-            }
-            entries.push_back(pc);
-        }
-
-        // Idle head drift performs d single-step shifts; cache that
-        // sequence's reliability fold too (applyHeadPolicy).
-        const std::vector<int> drift_parts(static_cast<size_t>(d), 1);
-        ShiftReliability drift =
-            reliability_model_.sequence(drift_parts);
-        PlanCost &dc = drift_memo_[static_cast<size_t>(d)];
-        dc.sdc_prob = std::exp(drift.log_sdc);
-        dc.due_prob = std::exp(drift.log_due);
-        for (const ReliabilityModel &dm : extra_models_) {
-            ShiftReliability r = dm.sequence(drift_parts);
-            dc.extra_sdc.push_back(std::exp(r.log_sdc));
-            dc.extra_due.push_back(std::exp(r.log_due));
-        }
+        for (const SequencePlan &plan : adapter_.candidates(d))
+            entries.push_back(planCostOf(plan.parts));
+        // Idle drift and migrations perform d single-step shifts.
+        drift_memo_[static_cast<size_t>(d)] =
+            planCostOf(adapter_.cautiousPlan(d).parts);
     }
+}
+
+ShiftCost
+RmBank::shiftCostOf(const std::vector<int> &parts) const
+{
+    ShiftCost c;
+    for (int p : parts) {
+        c.latency += timing_.shiftCycles(p);
+        c.energy += shiftOpEnergy(p);
+        c.total_steps += p;
+        ++c.sub_shifts;
+    }
+    return c;
+}
+
+RmBank::PlanCost
+RmBank::planCostOf(const std::vector<int> &parts) const
+{
+    PlanCost pc;
+    pc.shift = shiftCostOf(parts);
+    ShiftReliability rel = reliability_model_.sequence(parts);
+    pc.sdc_prob = std::exp(rel.log_sdc);
+    pc.due_prob = std::exp(rel.log_due);
+    for (const ReliabilityModel &dm : extra_models_) {
+        ShiftReliability r = dm.sequence(parts);
+        pc.extra_sdc.push_back(std::exp(r.log_sdc));
+        pc.extra_due.push_back(std::exp(r.log_due));
+    }
+    return pc;
 }
 
 void
@@ -223,6 +162,27 @@ RmBank::addMemoReliability(const PlanCost &pc, int dom)
         stats_.reliability.addExpected(
             pc.extra_sdc[static_cast<size_t>(dom - 1)],
             pc.extra_due[static_cast<size_t>(dom - 1)], weight);
+    }
+}
+
+void
+RmBank::chargeSingleSteps(uint64_t group, int dom, int dist)
+{
+    // The work is real even off the access path: steps, energy, and
+    // failure opportunities.
+    const uint64_t steps = static_cast<uint64_t>(dist);
+    stats_.shift_ops += steps;
+    stats_.shift_steps += steps;
+    group_stats_[group].shift_ops += steps;
+    group_stats_[group].shift_steps += steps;
+    stats_.shift_energy += static_cast<double>(dist) * one_step_energy_;
+    if (memo_enabled_) {
+        addMemoReliability(drift_memo_[static_cast<size_t>(dist)], dom);
+    } else {
+        ShiftReliability rel =
+            domainModel(dom).sequence(adapter_.cautiousPlan(dist).parts);
+        stats_.reliability.add(
+            rel, static_cast<double>(config_.stripes_per_group));
     }
 }
 
@@ -246,35 +206,15 @@ RmBank::applyHeadPolicy(uint64_t group, Cycles now)
     Cycles needed = static_cast<Cycles>(dist) * one_step_cycles_;
     if (idle >= needed + 64) { // small hysteresis before drifting
         head_[group] = static_cast<int8_t>(rest);
-        // The drift is real work: energy, steps, and failure
-        // opportunities, even though it hides off the access path.
-        stats_.shift_ops += static_cast<uint64_t>(dist);
-        stats_.shift_steps += static_cast<uint64_t>(dist);
-        group_stats_[group].shift_ops += static_cast<uint64_t>(dist);
-        group_stats_[group].shift_steps +=
-            static_cast<uint64_t>(dist);
-        stats_.shift_energy +=
-            static_cast<double>(dist) * one_step_energy_;
-        if (t_events_) {
-            // Mirror the ledger exactly: drift shifts count too.
-            t_shift_ops_->add(static_cast<uint64_t>(dist));
-            t_shift_steps_->add(static_cast<uint64_t>(dist));
-        }
         // Domain of the group's first frame; regions snap to
         // codeword boundaries, far finer than a group, so frames of
         // one group rarely span domains (and drift reliability is a
         // per-group approximation anyway).
-        const int dom = protection_.domainIndexFor(
-            group * static_cast<uint64_t>(config_.frames_per_group));
-        if (memo_enabled_) {
-            addMemoReliability(drift_memo_[static_cast<size_t>(dist)],
-                               dom);
-        } else {
-            ShiftReliability rel = domainModel(dom).sequence(
-                std::vector<int>(static_cast<size_t>(dist), 1));
-            stats_.reliability.add(
-                rel, static_cast<double>(config_.stripes_per_group));
-        }
+        chargeSingleSteps(
+            group,
+            protection_.domainIndexFor(
+                group * static_cast<uint64_t>(config_.frames_per_group)),
+            dist);
     }
 }
 
@@ -329,7 +269,6 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
         if (serving != group) {
             ++stats_.remapped_accesses;
             if (t_events_) {
-                t_remaps_->add();
                 t_events_->event(EventKind::FrameRemapped, "rm_bank",
                                  now, static_cast<double>(group),
                                  static_cast<double>(serving));
@@ -352,8 +291,6 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
     ShiftCost cost;
     ++stats_.accesses;
     ++group_stats_[group].accesses;
-    if (t_accesses_)
-        t_accesses_->add();
     // Contention: wait out the group's previous shift sequence.
     if (config_.model_contention && busy_until_[group] > now) {
         cost.stall = busy_until_[group] - now;
@@ -368,80 +305,33 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
     int distance = std::abs(target - cur);
     stats_.distance_histogram.add(distance);
 
-    // Plan under the scheme's policy using the memory-wide request
-    // interval (paper Sec. 5.3); interleaved service multiplies the
-    // effective intensity, i.e. divides the usable interval.
-    Cycles interval;
-    if (last_shift_ == kNeverShifted) {
-        interval = kNeverShifted;
-    } else {
-        interval = now > last_shift_ ? now - last_shift_ : 0;
-        interval /= static_cast<Cycles>(
-            std::max(config_.interleave_ways, 1));
-    }
+    // The adapter measures the memory-wide request interval (paper
+    // Sec. 5.3) and picks the plan; the memo holds that plan's cost,
+    // the live path folds it on the spot.
+    const size_t choice = adapter_.choose(distance, now);
+    ShiftCost shift;
     if (memo_enabled_) {
-        // Fast path: the decomposition cost and its reliability fold
-        // were precomputed per (distance, interval bucket); entries
-        // mirror planFor's scan, so picking the first bucket the
-        // interval satisfies reproduces the live plan selection.
-        const auto &entries =
-            plan_memo_[static_cast<size_t>(distance - 1)];
-        const PlanCost *pc = &entries.back();
-        for (const PlanCost &e : entries) {
-            if (e.min_interval <= interval) {
-                pc = &e;
-                break;
-            }
-        }
-        cost.latency += pc->latency;
-        cost.energy += pc->energy;
-        cost.total_steps += pc->total_steps;
-        cost.sub_shifts += pc->sub_shifts;
-        addMemoReliability(*pc, dom);
+        const PlanCost &pc =
+            plan_memo_[static_cast<size_t>(distance - 1)][choice];
+        shift = pc.shift;
+        addMemoReliability(pc, dom);
         ++stats_.plan_memo_hits;
     } else {
-        const std::vector<int> *parts = nullptr;
-        std::vector<int> scratch;
-        switch (policy_) {
-          case ShiftPolicy::Unconstrained:
-            scratch = {distance};
-            parts = &scratch;
-            break;
-          case ShiftPolicy::StepByStep:
-            scratch.assign(static_cast<size_t>(distance), 1);
-            parts = &scratch;
-            break;
-          case ShiftPolicy::WorstCase: {
-            int remaining = distance;
-            while (remaining > 0) {
-                int p = std::min(remaining, worst_case_distance_);
-                scratch.push_back(p);
-                remaining -= p;
-            }
-            parts = &scratch;
-            break;
-          }
-          case ShiftPolicy::Adaptive:
-            parts = &planner_.planFor(distance, interval).parts;
-            break;
-        }
-
-        for (int p : *parts) {
-            cost.latency += timing_.shiftCycles(p);
-            cost.energy += shiftOpEnergy(p);
-            cost.total_steps += p;
-            ++cost.sub_shifts;
-        }
-
+        const std::vector<int> &parts =
+            adapter_.candidates(distance)[choice].parts;
+        shift = shiftCostOf(parts);
         // Reliability: every stripe in the group shifts independently
         // and is an independent failure opportunity.
-        ShiftReliability rel = domainModel(dom).sequence(*parts);
         stats_.reliability.add(
-            rel, static_cast<double>(config_.stripes_per_group));
+            domainModel(dom).sequence(parts),
+            static_cast<double>(config_.stripes_per_group));
     }
+    cost.latency += shift.latency;
+    cost.energy += shift.energy;
+    cost.total_steps += shift.total_steps;
+    cost.sub_shifts += shift.sub_shifts;
 
     head_[group] = static_cast<int8_t>(target);
-    last_shift_ = now;
     busy_until_[group] = now + cost.latency;
     stats_.shift_ops += static_cast<uint64_t>(cost.sub_shifts);
     stats_.shift_steps += static_cast<uint64_t>(cost.total_steps);
@@ -452,8 +342,6 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
     stats_.shift_cycles += cost.latency;
     stats_.shift_energy += cost.energy;
     if (t_events_) {
-        t_shift_ops_->add(static_cast<uint64_t>(cost.sub_shifts));
-        t_shift_steps_->add(static_cast<uint64_t>(cost.total_steps));
         t_shift_latency_->record(static_cast<double>(cost.latency));
         t_events_->event(EventKind::ShiftIssued, "rm_bank", now,
                          static_cast<double>(distance),
@@ -490,33 +378,10 @@ RmBank::chargeMigration(const PlacementMigration &m)
     // The move happens where the frame physically lives today (the
     // remap target if its home group was retired).
     uint64_t g = serving_memo_[groupOf(m.frame)];
-    uint64_t steps = static_cast<uint64_t>(dist);
     ++stats_.migrations;
-    stats_.migration_steps += steps;
-    stats_.shift_ops += steps;
-    stats_.shift_steps += steps;
-    group_stats_[g].shift_ops += steps;
-    group_stats_[g].shift_steps += steps;
-    group_stats_[g].migration_steps += steps;
-    stats_.shift_energy +=
-        static_cast<double>(dist) * one_step_energy_;
-    const int dom = protection_.domainIndexFor(m.frame);
-    if (memo_enabled_) {
-        addMemoReliability(drift_memo_[static_cast<size_t>(dist)],
-                           dom);
-    } else {
-        ShiftReliability rel = domainModel(dom).sequence(
-            std::vector<int>(static_cast<size_t>(dist), 1));
-        stats_.reliability.add(
-            rel, static_cast<double>(config_.stripes_per_group));
-    }
-    if (t_events_) {
-        // Mirror the ledger exactly: migration shifts count too.
-        t_migrations_->add();
-        t_migration_steps_->add(steps);
-        t_shift_ops_->add(steps);
-        t_shift_steps_->add(steps);
-    }
+    stats_.migration_steps += static_cast<uint64_t>(dist);
+    group_stats_[g].migration_steps += static_cast<uint64_t>(dist);
+    chargeSingleSteps(g, protection_.domainIndexFor(m.frame), dist);
 }
 
 uint64_t
@@ -551,8 +416,6 @@ RmBank::reportUnrecoverable(uint64_t frame_index)
         rtm_panic("frame %llu out of range",
                   static_cast<unsigned long long>(frame_index));
     ++stats_.due_reports;
-    if (t_due_reports_)
-        t_due_reports_->add();
     if (config_.group_retry_budget <= 0)
         return false; // degradation disabled
     uint64_t group = groupOf(frame_index);
@@ -580,10 +443,8 @@ RmBank::reportUnrecoverable(uint64_t frame_index)
     ++stats_.degraded_groups;
     rebuildServingMemo();
     if (t_events_) {
-        t_retired_->add();
         t_events_->event(EventKind::GroupRetired, "rm_bank",
-                         last_shift_ == kNeverShifted ? 0
-                                                      : last_shift_,
+                         adapter_.lastRequest(),
                          static_cast<double>(group),
                          static_cast<double>(target));
     }
@@ -594,6 +455,22 @@ RmBank::reportUnrecoverable(uint64_t frame_index)
         warned_all_degraded_ = true;
     }
     return true;
+}
+
+void
+RmBank::exportTelemetry(Telemetry &sink) const
+{
+    sink.counter("mem.rm_bank.accesses").add(stats_.accesses);
+    sink.counter("mem.rm_bank.shift_ops").add(stats_.shift_ops);
+    sink.counter("mem.rm_bank.shift_steps").add(stats_.shift_steps);
+    sink.counter("mem.rm_bank.remapped_accesses")
+        .add(stats_.remapped_accesses);
+    sink.counter("mem.rm_bank.due_reports").add(stats_.due_reports);
+    sink.counter("mem.rm_bank.groups_retired")
+        .add(stats_.degraded_groups);
+    sink.counter("mem.rm_bank.migrations").add(stats_.migrations);
+    sink.counter("mem.rm_bank.migration_steps")
+        .add(stats_.migration_steps);
 }
 
 double

@@ -148,7 +148,7 @@ struct RmBankConfig
 
     /**
      * Serve steady-state accesses from the per-bank shift-plan memo
-     * (plan costs precomputed per (distance, interval bucket) at
+     * (plan costs precomputed per (distance, adapter candidate) at
      * construction) instead of replanning and refolding reliability
      * on every access. Results are bit-identical either way: the
      * memo is an exact cache keyed on everything the plan depends
@@ -162,8 +162,9 @@ struct RmBankConfig
 
     /**
      * Observability sink. Disabled (null) by default; when set the
-     * bank registers counters/histograms once at construction and
-     * pushes shift/degradation events. Instrumentation only reads
+     * bank registers its shift-latency histogram at construction and
+     * pushes shift/degradation events (its counters come from
+     * RmBank::exportTelemetry). Instrumentation only reads
      * simulator state, so results are bit-identical either way.
      */
     TelemetryScope telemetry = {};
@@ -279,6 +280,13 @@ class RmBank
      */
     std::string ledgerViolation() const;
 
+    /**
+     * Add the bank's ledger counters (mem.rm_bank.*) to `sink`, read
+     * from the stats, so the two views cannot disagree. Called once
+     * when a run completes.
+     */
+    void exportTelemetry(Telemetry &sink) const;
+
     /** Whether steady-state accesses are served from the memo. */
     bool planMemoEnabled() const { return memo_enabled_; }
 
@@ -288,18 +296,10 @@ class RmBank
      * per-part latency/energy/step fold and the exponentiated
      * reliability decomposition of the full sequence, so a
      * steady-state access is a table lookup plus accumulator adds.
-     * `min_interval` is the interval-bucket lower bound (0 for the
-     * non-adaptive policies, the Pareto plan's threshold for the
-     * adaptive one); entries are ordered exactly as
-     * ShiftPlanner::planFor scans them.
      */
     struct PlanCost
     {
-        Cycles min_interval = 0;
-        Cycles latency = 0;
-        Joules energy = 0.0;
-        int total_steps = 0;
-        int sub_shifts = 0;
+        ShiftCost shift;       //!< shiftCostOf(parts); no stall
         double sdc_prob = 0.0; //!< exp(sequence log_sdc)
         double due_prob = 0.0; //!< exp(sequence log_due)
         /** Per-extra-domain fold (index i-1 holds domain i); empty
@@ -313,14 +313,16 @@ class RmBank
     TechParams tech_;
     StsTiming timing_;
     ShiftPlanner planner_;
+    /** The scheme's shift policy: interval counter + candidate plans
+     *  per distance (the one policy decision, shared with the
+     *  functional controller). */
+    ShiftAdapter adapter_;
     /** Resolved protection table; domain 0 is the base domain. */
     ResolvedProtection protection_;
     /** Domain 0's reliability model (the base/llc domain). */
     ReliabilityModel reliability_model_;
     /** Models for domains 1..N-1 (empty under the default policy). */
     std::vector<ReliabilityModel> extra_models_;
-    ShiftPolicy policy_;
-    int worst_case_distance_;
 
     /** Frame -> slot mapping + head-rest scheduling. */
     std::unique_ptr<PlacementPolicy> placement_;
@@ -334,14 +336,8 @@ class RmBank
     std::vector<Cycles> busy_until_;
     /** Cycle of each group's previous access (idle-drift policy). */
     std::vector<Cycles> last_access_;
-    /** Cycle of the previous shift operation anywhere in the bank.
-     *  The paper's adapter (Sec. 5.3) tracks one memory-wide
-     *  interval: "the interval between it and the last shift
-     *  operation"; a single counter and table is also what keeps the
-     *  hardware cost trivial. */
-    Cycles last_shift_;
-
-    /** Memo tables: plan_memo_[d - 1] = entries for distance d. */
+    /** Memo tables: plan_memo_[d - 1][i] = cost of
+     *  adapter_.candidates(d)[i]. */
     std::vector<std::vector<PlanCost>> plan_memo_;
     /** drift_memo_[d] = reliability of d single-step drift shifts. */
     std::vector<PlanCost> drift_memo_;
@@ -369,17 +365,10 @@ class RmBank
 
     RmBankStats stats_;
 
-    // Telemetry handles: registered once at construction, null when
-    // the scope is disabled (the hot path branches on t_events_).
+    // Per-access telemetry: null when the scope is disabled (the hot
+    // path branches on t_events_). Counters are exported from stats_
+    // by exportTelemetry.
     Telemetry *t_events_ = nullptr;
-    Counter *t_accesses_ = nullptr;
-    Counter *t_shift_ops_ = nullptr;
-    Counter *t_shift_steps_ = nullptr;
-    Counter *t_remaps_ = nullptr;
-    Counter *t_due_reports_ = nullptr;
-    Counter *t_retired_ = nullptr;
-    Counter *t_migrations_ = nullptr;
-    Counter *t_migration_steps_ = nullptr;
     LatencyHistogram *t_shift_latency_ = nullptr;
 
     uint64_t groupOf(uint64_t frame) const;
@@ -399,9 +388,22 @@ class RmBank
                         : extra_models_[static_cast<size_t>(dom - 1)];
     }
 
+    /** Latency/energy/step fold of the sub-shifts `parts`. */
+    ShiftCost shiftCostOf(const std::vector<int> &parts) const;
+
+    /** shiftCostOf plus the reliability fold under every domain. */
+    PlanCost planCostOf(const std::vector<int> &parts) const;
+
     /** Fold one memoised decomposition into the reliability ledger
      *  under domain `dom`'s model. */
     void addMemoReliability(const PlanCost &pc, int dom);
+
+    /**
+     * Charge `dist` single-step shifts done off the access path
+     * (idle drift, placement migration) on `group`: steps, energy
+     * and reliability under domain `dom`'s model.
+     */
+    void chargeSingleSteps(uint64_t group, int dom, int dist);
 
     /** Apply the idle head-drift policy before serving at `now`. */
     void applyHeadPolicy(uint64_t group, Cycles now);
@@ -409,8 +411,7 @@ class RmBank
     /**
      * Charge one scheduled frame move to the ledger: |to - from|
      * single-step shifts (the gentle drive, off the access path) on
-     * the group that physically holds the frame, with energy and
-     * reliability accounted like idle drift.
+     * the group that physically holds the frame, like idle drift.
      */
     void chargeMigration(const PlacementMigration &m);
 

@@ -273,6 +273,7 @@ runFaultDrill(const ScenarioSpec &spec,
             .add(res.bank_degraded_groups);
         t.counter("campaign.bank.remapped_accesses")
             .add(res.bank_remapped_accesses);
+        bank.exportTelemetry(t);
         if (!res.contained)
             t.counter("campaign.violations").add();
         const double wall = telemetryNowSeconds() - cell_start;

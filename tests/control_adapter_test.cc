@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "control/adapter.hh"
 #include "device/error_model.hh"
@@ -64,12 +66,17 @@ TEST_F(AdapterFixture, AdaptiveRelaxesWithLongIntervals)
 
 TEST_F(AdapterFixture, IntervalTracking)
 {
-    ShiftAdapter a(&planner_, ShiftPolicy::Adaptive, 83e6);
-    a.plan(3, 1000);
-    a.plan(3, 1500);
-    EXPECT_EQ(a.lastInterval(), 500u);
-    a.plan(3, 1400); // time went backwards (clamped)
-    EXPECT_EQ(a.lastInterval(), 0u);
+    // Interleaved sub-banks divide the measured interval.
+    for (int ways : {1, 4}) {
+        ShiftAdapter a(&planner_, ShiftPolicy::Adaptive, 83e6, ways);
+        a.plan(3, 1000);
+        EXPECT_EQ(a.lastInterval(), std::numeric_limits<Cycles>::max());
+        a.plan(3, 1500);
+        EXPECT_EQ(a.lastInterval(), 500u / static_cast<Cycles>(ways));
+        EXPECT_EQ(a.lastRequest(), 1500u);
+        a.plan(3, 1400); // time went backwards (clamped)
+        EXPECT_EQ(a.lastInterval(), 0u);
+    }
 }
 
 TEST_F(AdapterFixture, WorstCaseLatencyBetweenExtremes)
@@ -87,7 +94,7 @@ TEST_F(AdapterFixture, WorstCaseLatencyBetweenExtremes)
     EXPECT_LE(lw, ls);
 }
 
-TEST_F(AdapterFixture, ScratchPlanAccounting)
+TEST_F(AdapterFixture, FixedSplitAccounting)
 {
     ShiftAdapter a(&planner_, ShiftPolicy::WorstCase, 83e6);
     const SequencePlan &p = a.plan(7, 0);
@@ -100,6 +107,79 @@ TEST_F(AdapterFixture, ScratchPlanAccounting)
     double manual = 2 * std::exp(planner_.logFailRate(3)) +
                     std::exp(planner_.logFailRate(1));
     EXPECT_NEAR(rate, manual, 1e-3 * manual);
+}
+
+TEST_F(AdapterFixture, CandidatesPerPolicy)
+{
+    ShiftAdapter uncon(&planner_, ShiftPolicy::Unconstrained, 83e6);
+    ShiftAdapter steps(&planner_, ShiftPolicy::StepByStep, 83e6);
+    ShiftAdapter worst(&planner_, ShiftPolicy::WorstCase, 83e6);
+    ShiftAdapter adapt(&planner_, ShiftPolicy::Adaptive, 83e6);
+    for (int d = 1; d <= planner_.maxPart(); ++d) {
+        ASSERT_EQ(uncon.candidates(d).size(), 1u);
+        EXPECT_EQ(uncon.candidates(d)[0].parts, std::vector<int>{d});
+        ASSERT_EQ(steps.candidates(d).size(), 1u);
+        EXPECT_EQ(steps.candidates(d)[0].parts,
+                  std::vector<int>(static_cast<size_t>(d), 1));
+        EXPECT_EQ(steps.candidates(d)[0].parts,
+                  adapt.cautiousPlan(d).parts);
+        ASSERT_EQ(worst.candidates(d).size(), 1u);
+        for (int p : worst.candidates(d)[0].parts)
+            EXPECT_LE(p, worst.worstCaseSafeDistance());
+        // Adaptive selects among the planner's own Pareto front.
+        EXPECT_EQ(adapt.candidates(d).data(),
+                  planner_.paretoFront(d).data());
+        EXPECT_EQ(adapt.candidates(d).size(),
+                  planner_.paretoFront(d).size());
+    }
+    EXPECT_EQ(worst.candidates(7)[0].parts, (std::vector<int>{3, 3, 1}));
+}
+
+TEST_F(AdapterFixture, UnconstrainedIsTheFrontsOneShotPlan)
+{
+    // Each shift operation pays the fixed stage-2 cost, so splitting
+    // never beats one shot on latency: the front's fastest plan is
+    // {d} at every correction strength.
+    for (int correct = 0; correct <= 3; ++correct) {
+        ShiftPlanner planner(&model_, timing_, correct, 7);
+        ShiftAdapter a(&planner, ShiftPolicy::Unconstrained, 83e6);
+        for (int d = 1; d <= 7; ++d) {
+            EXPECT_EQ(planner.paretoFront(d).front().parts,
+                      std::vector<int>{d})
+                << "correct " << correct << " distance " << d;
+            EXPECT_EQ(a.candidates(d).front().parts,
+                      std::vector<int>{d});
+        }
+    }
+}
+
+TEST_F(AdapterFixture, PlanReferencesOutliveLaterCalls)
+{
+    for (ShiftPolicy policy :
+         {ShiftPolicy::Unconstrained, ShiftPolicy::StepByStep,
+          ShiftPolicy::WorstCase, ShiftPolicy::Adaptive}) {
+        ShiftAdapter a(&planner_, policy, 83e6);
+        const SequencePlan &p = a.plan(7, 0);
+        const std::vector<int> parts = p.parts;
+        a.plan(3, 10);
+        a.cautiousPlan(5);
+        a.plan(2, 20);
+        EXPECT_EQ(p.parts, parts) << enumTokens(policy).token(policy);
+    }
+}
+
+TEST_F(AdapterFixture, ChooseMatchesPlannerSelection)
+{
+    ShiftAdapter a(&planner_, ShiftPolicy::Adaptive, 83e6);
+    Cycles now = 0;
+    EXPECT_EQ(a.choose(7, now), 0u); // cold memory: fastest plan
+    for (Cycles gap : {0u, 1u, 24u, 1000u, 100000u, 5000000u}) {
+        now += gap;
+        const size_t i = a.choose(7, now);
+        EXPECT_EQ(a.lastInterval(), gap);
+        EXPECT_EQ(&a.candidates(7)[i], &planner_.planFor(7, gap))
+            << "gap " << gap;
+    }
 }
 
 } // namespace

@@ -126,60 +126,122 @@ TEST(GoldenWorkload, GapSamplerMatchesLogFormula)
     }
 }
 
-TEST(GoldenRmBank, MemoMatchesLivePlanning)
+/**
+ * Drive a memo bank and a live bank with one access stream (with the
+ * pooled-codeword redundancy fetches Hierarchy::access adds) and
+ * require bit-equal per-access costs and ledgers. Returns the memo
+ * bank's final stats.
+ */
+RmBankStats
+expectMemoMatchesLive(const RmBankConfig &cfg, const std::string &what)
 {
+    SCOPED_TRACE(what);
     PaperCalibratedErrorModel model;
     TechParams tech = l3For(MemTech::Racetrack);
-    for (Scheme scheme :
-         {Scheme::Baseline, Scheme::SecdedPecc, Scheme::PeccO,
-          Scheme::PeccSWorst, Scheme::PeccSAdaptive}) {
+    RmBankConfig memo_cfg = cfg;
+    memo_cfg.use_plan_memo = true;
+    RmBankConfig live_cfg = cfg;
+    live_cfg.use_plan_memo = false;
+
+    RmBank memo(memo_cfg, &model, tech);
+    RmBank live(live_cfg, &model, tech);
+    EXPECT_TRUE(memo.planMemoEnabled());
+    EXPECT_FALSE(live.planMemoEnabled());
+
+    Rng rng(1234);
+    Cycles now = 0;
+    for (int i = 0; i < 5000; ++i) {
+        uint64_t frame = rng.uniformInt(cfg.line_frames);
+        // Occasional long idle gaps trigger head drift.
+        Cycles gap = rng.bernoulli(0.05) ? 500 + rng.uniformInt(4000)
+                                         : rng.uniformInt(64);
+        ShiftCost a = memo.accessFrame(frame, now);
+        ShiftCost b = live.accessFrame(frame, now);
+        EXPECT_EQ(a.latency, b.latency) << "access " << i;
+        EXPECT_EQ(a.stall, b.stall) << "access " << i;
+        EXPECT_EQ(a.energy, b.energy) << "access " << i;
+        EXPECT_EQ(a.total_steps, b.total_steps) << "access " << i;
+        EXPECT_EQ(a.sub_shifts, b.sub_shifts) << "access " << i;
+        ShiftCost ra = memo.accessRedundancy(frame, now);
+        ShiftCost rb = live.accessRedundancy(frame, now);
+        EXPECT_EQ(ra.latency, rb.latency) << "access " << i;
+        EXPECT_EQ(ra.energy, rb.energy) << "access " << i;
+        if (::testing::Test::HasFailure())
+            break;
+        now += a.latency + ra.latency + gap;
+    }
+    const RmBankStats &ms = memo.stats();
+    const RmBankStats &ls = live.stats();
+    EXPECT_EQ(ms.accesses, ls.accesses);
+    EXPECT_EQ(ms.shift_ops, ls.shift_ops);
+    EXPECT_EQ(ms.shift_steps, ls.shift_steps);
+    EXPECT_EQ(ms.shift_cycles, ls.shift_cycles);
+    EXPECT_EQ(ms.shift_energy, ls.shift_energy);
+    EXPECT_EQ(ms.migrations, ls.migrations);
+    EXPECT_EQ(ms.migration_steps, ls.migration_steps);
+    EXPECT_EQ(ms.redundancy_accesses, ls.redundancy_accesses);
+    EXPECT_EQ(ms.reliability.expectedSdc(),
+              ls.reliability.expectedSdc());
+    EXPECT_EQ(ms.reliability.expectedDue(),
+              ls.reliability.expectedDue());
+    EXPECT_GT(ms.plan_memo_hits, 0u);
+    EXPECT_EQ(ls.plan_memo_hits, 0u);
+    return ms;
+}
+
+TEST(GoldenRmBank, MemoMatchesLivePlanning)
+{
+    for (const SchemeRow &row : schemeTable()) {
         for (HeadPolicy hp : {HeadPolicy::Stay, HeadPolicy::Center}) {
             RmBankConfig cfg;
             cfg.line_frames = 4096;
-            cfg.scheme = scheme;
+            cfg.scheme = row.scheme;
             cfg.head_policy = hp;
             cfg.interleave_ways = 2;
-            cfg.use_plan_memo = true;
-            RmBankConfig legacy_cfg = cfg;
-            legacy_cfg.use_plan_memo = false;
-
-            RmBank memo(cfg, &model, tech);
-            RmBank live(legacy_cfg, &model, tech);
-            ASSERT_TRUE(memo.planMemoEnabled());
-            ASSERT_FALSE(live.planMemoEnabled());
-
-            Rng rng(1234);
-            Cycles now = 0;
-            for (int i = 0; i < 5000; ++i) {
-                uint64_t frame = rng.uniformInt(cfg.line_frames);
-                // Occasional long idle gaps trigger head drift.
-                Cycles gap = rng.bernoulli(0.05)
-                                 ? 500 + rng.uniformInt(4000)
-                                 : rng.uniformInt(64);
-                ShiftCost a = memo.accessFrame(frame, now);
-                ShiftCost b = live.accessFrame(frame, now);
-                ASSERT_EQ(a.latency, b.latency) << "access " << i;
-                ASSERT_EQ(a.stall, b.stall) << "access " << i;
-                ASSERT_EQ(a.energy, b.energy) << "access " << i;
-                ASSERT_EQ(a.total_steps, b.total_steps);
-                ASSERT_EQ(a.sub_shifts, b.sub_shifts);
-                now += a.latency + gap;
-            }
-            const RmBankStats &ms = memo.stats();
-            const RmBankStats &ls = live.stats();
-            EXPECT_EQ(ms.accesses, ls.accesses);
-            EXPECT_EQ(ms.shift_ops, ls.shift_ops);
-            EXPECT_EQ(ms.shift_steps, ls.shift_steps);
-            EXPECT_EQ(ms.shift_cycles, ls.shift_cycles);
-            EXPECT_EQ(ms.shift_energy, ls.shift_energy);
-            EXPECT_EQ(ms.reliability.expectedSdc(),
-                      ls.reliability.expectedSdc());
-            EXPECT_EQ(ms.reliability.expectedDue(),
-                      ls.reliability.expectedDue());
-            EXPECT_GT(ms.plan_memo_hits, 0u);
-            EXPECT_EQ(ls.plan_memo_hits, 0u);
+            expectMemoMatchesLive(cfg,
+                                  std::string(schemeToken(row.scheme)) +
+                                      "/" + headPolicyName(hp));
         }
     }
+}
+
+TEST(GoldenRmBank, MemoMatchesLiveWithMigrations)
+{
+    // Adaptive placement schedules frame moves and the predictive head
+    // drifts to each group's hottest slot: both charge single-step
+    // shifts through the memo's drift table or the live fold.
+    RmBankConfig cfg;
+    cfg.line_frames = 1024;
+    cfg.scheme = Scheme::PeccSAdaptive;
+    cfg.placement.kind = PlacementKind::Adaptive;
+    cfg.placement.epoch_accesses = 16;
+    cfg.head_policy = HeadPolicy::Predictive;
+    const RmBankStats s = expectMemoMatchesLive(cfg, "adaptive placement");
+    EXPECT_GT(s.migrations, 0u);
+}
+
+TEST(GoldenRmBank, MemoMatchesLiveAcrossProtectionDomains)
+{
+    // A second protection domain with its own scheme and pooled
+    // codewords: the memo folds every domain's model per plan, the
+    // live path folds only the accessed frame's.
+    RmBankConfig cfg;
+    cfg.line_frames = 4096;
+    cfg.scheme = Scheme::PeccSAdaptive;
+    cfg.head_policy = HeadPolicy::Center;
+    cfg.protection.kind = ProtectionScopeKind::AddressRegion;
+    ProtectionRegion cold;
+    cold.begin = 0.5;
+    cold.end = 1.0;
+    cold.domain.has_scheme = true;
+    cold.domain.scheme = Scheme::SecdedPecc;
+    cold.domain.codeword_frames = 4;
+    cfg.protection.regions = {cold};
+    ASSERT_EQ(resolveProtection(cfg.protection, cfg.line_frames)
+                  .domains.size(),
+              2u);
+    const RmBankStats s = expectMemoMatchesLive(cfg, "regions");
+    EXPECT_GT(s.redundancy_accesses, 0u);
 }
 
 // --- 2. end-to-end equivalence ---------------------------------------
@@ -376,6 +438,42 @@ TEST(GoldenSim, TelemetryOnDoesNotPerturbResults)
     EXPECT_EQ(telemetry.eventCount(EventKind::Span),
               static_cast<uint64_t>(cells));
     EXPECT_GT(telemetry.eventCount(EventKind::ShiftIssued), 0u);
+}
+
+TEST(GoldenSim, RmBankCountersMatchWholeRunLedger)
+{
+    // The mem.rm_bank.* counters are exported from the bank's final
+    // stats. With no warmup the measured-phase SimResult fields are
+    // the bank's whole-run ledger, and with pooled codewords every L3
+    // access is one bank access plus its redundancy fetches.
+    PaperCalibratedErrorModel model;
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = MemTech::Racetrack;
+    cfg.hierarchy.scheme = Scheme::PeccSAdaptive;
+    cfg.hierarchy.capacity_divisor = 32;
+    cfg.hierarchy.placement.kind = PlacementKind::Adaptive;
+    cfg.hierarchy.head_policy = HeadPolicy::Predictive;
+    cfg.hierarchy.protection.uniform.codeword_frames = 8;
+    cfg.hierarchy.protection.uniform.two_tier = true;
+    cfg.mem_requests = 20000;
+    cfg.warmup_requests = 0;
+    Telemetry telemetry(1 << 10);
+    cfg.telemetry = TelemetryScope(&telemetry);
+    const SimResult res = simulate(
+        scaledProfile(parsecProfile("canneal"), 32), cfg, &model);
+
+    auto counter = [&](const char *name) {
+        return telemetry.counters().at(name).value();
+    };
+    EXPECT_EQ(counter("mem.rm_bank.accesses"),
+              counter("mem.l3.accesses") + res.redundancy_accesses);
+    EXPECT_EQ(counter("mem.rm_bank.shift_ops"), res.shift_ops);
+    EXPECT_EQ(counter("mem.rm_bank.shift_steps"), res.shift_steps);
+    EXPECT_EQ(counter("mem.rm_bank.migrations"), res.migrations);
+    EXPECT_EQ(counter("mem.rm_bank.migration_steps"),
+              res.migration_steps);
+    EXPECT_GT(res.redundancy_accesses, 0u);
+    EXPECT_GT(res.migrations, 0u);
 }
 
 TEST(GoldenSim, SpecDrivenMatrixMatchesPins)
