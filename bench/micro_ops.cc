@@ -9,8 +9,9 @@
  * loops — the batched Monte-Carlo kernel at both reproducibility
  * tiers against the frozen scalar reference, and runMatrix — at
  * thread counts {1, hw/2, hw}, writing one row per count (with the
- * pool's *actual* worker count) to BENCH_parallel.json so the perf
- * trajectory is tracked across PRs.
+ * pool's *actual* worker count; each entry the median of five runs
+ * with its min/max) to BENCH_parallel.json so the perf trajectory is
+ * tracked across PRs.
  *
  * `micro_ops --check` skips the timing benchmarks and instead
  * verifies the tier contract, mirroring sim_hotpath's conventions:
@@ -401,11 +402,45 @@ checkTiers()
     return 0;
 }
 
+/** Median and range of repeated timings of one quantity. */
+struct Spread
+{
+    double median = 0.0, min = 0.0, max = 0.0;
+};
+
+/** Repeats per BENCH_parallel.json entry. */
+constexpr int kParallelRepeats = 5;
+
+template <typename Fn>
+Spread
+spreadOf(Fn &&sample)
+{
+    std::vector<double> v;
+    for (int i = 0; i < kParallelRepeats; ++i)
+        v.push_back(sample());
+    std::sort(v.begin(), v.end());
+    return {v[v.size() / 2], v.front(), v.back()};
+}
+
+void
+printSpread(std::FILE *f, const char *indent, const char *key,
+            const Spread &s, const char *fmt, bool last)
+{
+    std::fprintf(f, "%s\"%s\": {\"median\": ", indent, key);
+    std::fprintf(f, fmt, s.median);
+    std::fprintf(f, ", \"min\": ");
+    std::fprintf(f, fmt, s.min);
+    std::fprintf(f, ", \"max\": ");
+    std::fprintf(f, fmt, s.max);
+    std::fprintf(f, "}%s\n", last ? "" : ",");
+}
+
 } // namespace
 
 /**
  * Time the parallel hot loops at thread counts {1, hw/2, hw} and
- * emit BENCH_parallel.json with one row per distinct count.
+ * emit BENCH_parallel.json with one row per distinct count. Every
+ * entry is the median of kParallelRepeats runs with their min/max.
  */
 void
 writeParallelBench()
@@ -430,7 +465,7 @@ writeParallelBench()
     struct Row
     {
         unsigned requested, actual;
-        double scalar_tps, exact_tps, fast_tps;
+        Spread scalar_tps, exact_tps, fast_tps;
     };
     std::vector<Row> rows;
     for (unsigned tc : counts) {
@@ -438,13 +473,20 @@ writeParallelBench()
         r.requested = tc;
         ThreadPool::setGlobalThreads(tc);
         r.actual = ThreadPool::global().threads();
-        r.scalar_tps = mcScalarTrialsPerSec(tc, mc_trials);
-        r.exact_tps = mcTrialsPerSec(tc, mc_trials, McTier::Exact);
-        r.fast_tps = mcTrialsPerSec(tc, mc_trials, McTier::Fast);
+        r.scalar_tps = spreadOf(
+            [&] { return mcScalarTrialsPerSec(tc, mc_trials); });
+        r.exact_tps = spreadOf([&] {
+            return mcTrialsPerSec(tc, mc_trials, McTier::Exact);
+        });
+        r.fast_tps = spreadOf([&] {
+            return mcTrialsPerSec(tc, mc_trials, McTier::Fast);
+        });
         rows.push_back(r);
     }
-    double matrix_serial_s = runMatrixSeconds(1);
-    double matrix_parallel_s = runMatrixSeconds(hw);
+    const Spread matrix_serial_s =
+        spreadOf([] { return runMatrixSeconds(1); });
+    const Spread matrix_parallel_s =
+        spreadOf([hw] { return runMatrixSeconds(hw); });
     ThreadPool::setGlobalThreads(configured);
 
     std::FILE *f = std::fopen("BENCH_parallel.json", "w");
@@ -455,6 +497,7 @@ writeParallelBench()
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
+    std::fprintf(f, "  \"repeats\": %d,\n", kParallelRepeats);
     std::fprintf(f, "  \"monte_carlo\": {\n");
     std::fprintf(f, "    \"trials\": %llu,\n",
                  static_cast<unsigned long long>(mc_trials));
@@ -465,51 +508,51 @@ writeParallelBench()
                  "    \"seed_serial_trials_per_sec\": %.0f,\n",
                  kSeedSerialTps);
     std::fprintf(f, "    \"rows\": [\n");
+    const char *in = "        ";
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::fprintf(f, "      {\n");
-        std::fprintf(f, "        \"threads\": %u,\n", r.actual);
-        std::fprintf(f, "        \"requested_threads\": %u,\n",
+        std::fprintf(f, "%s\"threads\": %u,\n", in, r.actual);
+        std::fprintf(f, "%s\"requested_threads\": %u,\n", in,
                      r.requested);
+        printSpread(f, in, "scalar_trials_per_sec", r.scalar_tps,
+                    "%.0f", false);
+        printSpread(f, in, "exact_batch_trials_per_sec", r.exact_tps,
+                    "%.0f", false);
+        printSpread(f, in, "fast_batch_trials_per_sec", r.fast_tps,
+                    "%.0f", false);
         std::fprintf(f,
-                     "        \"scalar_trials_per_sec\": %.0f,\n",
-                     r.scalar_tps);
-        std::fprintf(
-            f, "        \"exact_batch_trials_per_sec\": %.0f,\n",
-            r.exact_tps);
-        std::fprintf(
-            f, "        \"fast_batch_trials_per_sec\": %.0f,\n",
-            r.fast_tps);
-        std::fprintf(
-            f, "        \"exact_speedup_vs_seed_serial\": %.2f,\n",
-            r.exact_tps / kSeedSerialTps);
-        std::fprintf(
-            f, "        \"fast_speedup_vs_seed_serial\": %.2f\n",
-            r.fast_tps / kSeedSerialTps);
+                     "%s\"exact_speedup_vs_seed_serial\": %.2f,\n",
+                     in, r.exact_tps.median / kSeedSerialTps);
+        std::fprintf(f,
+                     "%s\"fast_speedup_vs_seed_serial\": %.2f\n", in,
+                     r.fast_tps.median / kSeedSerialTps);
         std::fprintf(f, "      }%s\n",
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"run_matrix\": {\n");
-    std::fprintf(f, "    \"serial_seconds\": %.3f,\n",
-                 matrix_serial_s);
-    std::fprintf(f, "    \"parallel_seconds\": %.3f,\n",
-                 matrix_parallel_s);
+    printSpread(f, "    ", "serial_seconds", matrix_serial_s, "%.4f",
+                false);
+    printSpread(f, "    ", "parallel_seconds", matrix_parallel_s,
+                "%.4f", false);
     std::fprintf(f, "    \"speedup\": %.2f\n",
-                 matrix_serial_s / matrix_parallel_s);
+                 matrix_serial_s.median / matrix_parallel_s.median);
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     for (const Row &r : rows)
         std::printf("BENCH_parallel %u threads: scalar %.0f, "
                     "exact %.0f (%.2fx vs seed serial), fast %.0f "
-                    "(%.2fx)\n",
-                    r.actual, r.scalar_tps, r.exact_tps,
-                    r.exact_tps / kSeedSerialTps, r.fast_tps,
-                    r.fast_tps / kSeedSerialTps);
+                    "(%.2fx), medians of %d\n",
+                    r.actual, r.scalar_tps.median, r.exact_tps.median,
+                    r.exact_tps.median / kSeedSerialTps,
+                    r.fast_tps.median,
+                    r.fast_tps.median / kSeedSerialTps,
+                    kParallelRepeats);
     std::printf("runMatrix %.2fx at %u threads\n",
-                matrix_serial_s / matrix_parallel_s, hw);
+                matrix_serial_s.median / matrix_parallel_s.median, hw);
 }
 
 } // namespace rtm

@@ -42,8 +42,8 @@ Cache::Cache(uint64_t capacity_bytes, int associativity,
     : capacity_(capacity_bytes), ways_(associativity),
       line_bytes_(line_bytes)
 {
-    if (ways_ < 1)
-        rtm_fatal("cache needs at least one way");
+    if (ways_ < 1 || ways_ > 256)
+        rtm_fatal("cache needs 1 to 256 ways, got %d", ways_);
     if (!isPowerOfTwo(static_cast<uint64_t>(line_bytes_)))
         rtm_fatal("line size must be a power of two");
     uint64_t lines = capacity_ / static_cast<uint64_t>(line_bytes_);
@@ -58,7 +58,27 @@ Cache::Cache(uint64_t capacity_bytes, int associativity,
     tag_shift_ = line_shift_ + log2OfPowerOfTwo(sets_);
     set_mask_ = sets_ - 1;
     meta_.assign(lines, 0);
-    lru_.assign(lines, 0);
+    order_.resize(lines);
+    resetOrder();
+}
+
+void
+Cache::resetOrder()
+{
+    for (uint64_t i = 0; i < order_.size(); ++i)
+        order_[i] = static_cast<uint8_t>(
+            i % static_cast<uint64_t>(ways_));
+}
+
+void
+Cache::touch(uint64_t base, int way)
+{
+    // Rotate [0, pos of way] right by one in a single pass.
+    uint8_t *order = &order_[base];
+    uint8_t carry = order[0];
+    order[0] = static_cast<uint8_t>(way);
+    for (size_t p = 1; carry != order[0]; ++p)
+        std::swap(carry, order[p]);
 }
 
 int
@@ -83,7 +103,6 @@ Cache::contains(Addr addr) const
 CacheAccessResult
 Cache::access(Addr addr, bool is_write)
 {
-    ++tick_;
     uint64_t set = setOf(addr);
     Addr tag = tagOf(addr);
     uint64_t base = set * static_cast<uint64_t>(ways_);
@@ -94,36 +113,30 @@ Cache::access(Addr addr, bool is_write)
     else
         ++stats_.reads;
 
-    // One pass finds the hit way and, failing that, the victim: the
-    // first invalid way wins outright; later invalid ways must not
-    // displace it (fill order matters for the racetrack frame
-    // mapping). Among valid ways the oldest LRU stamp loses, earliest
-    // way on ties.
+    // One pass finds the hit way and, failing that, the first
+    // invalid way, which wins outright (fill order matters for the
+    // racetrack frame mapping). A full set evicts the back of its
+    // recency order.
     const uint64_t want = (tag << 2) | kValid | kDirty;
-    int victim = 0;
-    bool victim_invalid = false;
-    uint64_t oldest = UINT64_MAX;
+    int victim = -1;
     for (int w = 0; w < ways_; ++w) {
         uint64_t i = base + static_cast<uint64_t>(w);
         uint64_t m = meta_[i];
         if (m & kValid) {
             if ((m | kDirty) == want) {
-                lru_[i] = tick_;
+                touch(base, w);
                 if (is_write)
                     meta_[i] = m | kDirty;
                 res.hit = true;
                 res.frame_index = i;
                 return res;
             }
-            if (!victim_invalid && lru_[i] < oldest) {
-                victim = w;
-                oldest = lru_[i];
-            }
-        } else if (!victim_invalid) {
+        } else if (victim < 0) {
             victim = w;
-            victim_invalid = true;
         }
     }
+    if (victim < 0)
+        victim = order_[base + static_cast<uint64_t>(ways_ - 1)];
 
     if (is_write)
         ++stats_.write_misses;
@@ -138,7 +151,7 @@ Cache::access(Addr addr, bool is_write)
         ++stats_.writebacks;
     }
     meta_[vi] = (tag << 2) | (is_write ? (kValid | kDirty) : kValid);
-    lru_[vi] = tick_;
+    touch(base, victim);
     res.frame_index = vi;
     return res;
 }
@@ -147,7 +160,7 @@ void
 Cache::flush()
 {
     std::fill(meta_.begin(), meta_.end(), 0);
-    std::fill(lru_.begin(), lru_.end(), 0);
+    resetOrder();
 }
 
 } // namespace rtm

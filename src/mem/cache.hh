@@ -15,7 +15,9 @@
  * structure-of-arrays — the way scan walks one compact packed-tag
  * word array (tag | dirty | valid) instead of striding over full
  * line records, touching two cache lines per 16-way set instead of
- * six. Behaviour (hit/miss, victim selection, fill order, stats) is
+ * six. LRU state is a per-set recency order of one byte per way
+ * rather than an 8-byte timestamp per line. Behaviour (hit/miss,
+ * victim selection, fill order, stats) is
  * bit-identical to the straightforward implementation;
  * tests/sim_golden_test.cc pins that equivalence against a reference
  * copy of the original code.
@@ -99,16 +101,19 @@ class Cache
     int line_shift_;     //!< log2(line_bytes)
     int tag_shift_;      //!< log2(line_bytes * sets)
     uint64_t set_mask_;  //!< sets - 1
-    uint64_t tick_ = 0;
 
     // Structure-of-arrays line metadata, indexed set * ways + way.
     // meta_[i] = (tag << 2) | dirty | valid: the hit scan touches
     // only this one compact word array (a tag cannot overflow the 62
     // available bits — tag = addr >> tag_shift with tag_shift >= 6).
-    // lru_ is read on the miss path for victim selection and written
-    // on hits.
     std::vector<uint64_t> meta_;
-    std::vector<uint64_t> lru_;
+
+    // Per-set recency order, one byte per way: order_[set * ways]
+    // is the most recently used way and order_[set * ways + ways -
+    // 1] the least. Every touch (hit or fill) moves the way to the
+    // front, so once a set is full its back is the way with the
+    // oldest last touch — the victim a per-line timestamp picks.
+    std::vector<uint8_t> order_;
 
     CacheStats stats_;
 
@@ -127,6 +132,12 @@ class Cache
 
     /** Way holding (set, tag), or -1 when not resident. */
     int findWay(uint64_t base, Addr tag) const;
+
+    /** Make `way` the most recently used of the set at `base`. */
+    void touch(uint64_t base, int way);
+
+    /** Reset every set's recency order to way 0, 1, ... */
+    void resetOrder();
 };
 
 } // namespace rtm

@@ -267,12 +267,6 @@ runFaultDrill(const ScenarioSpec &spec,
             fieldsToJson(kLedgerFields, res.ledger, kBriefView);
         for (const auto &[key, value] : brief.members())
             t.counter("campaign." + key).add(value.asU64());
-        t.counter("campaign.bank.due_reports")
-            .add(res.bank_due_reports);
-        t.counter("campaign.bank.degraded_groups")
-            .add(res.bank_degraded_groups);
-        t.counter("campaign.bank.remapped_accesses")
-            .add(res.bank_remapped_accesses);
         bank.exportTelemetry(t);
         if (!res.contained)
             t.counter("campaign.violations").add();

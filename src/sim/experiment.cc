@@ -622,6 +622,8 @@ ExperimentEngine::replayCell(size_t index, const JsonValue &result)
     if (cell.replayed || !cell.load || !cell.load(result))
         return false;
     cell.replayed = true;
+    if (cell.release)
+        cell.release();
     return true;
 }
 
@@ -651,6 +653,7 @@ ExperimentEngine::runCell(Cell &cell, size_t index,
                              : CellStatus::Cancelled;
             break;
         }
+        bool finished = false;
         try {
             if (fault_hook_)
                 fault_hook_(index, attempt);
@@ -665,12 +668,16 @@ ExperimentEngine::runCell(Cell &cell, size_t index,
                         : CellStatus::Cancelled;
             else
                 out.status = CellStatus::Ok;
-            break;
+            finished = true;
         } catch (const std::exception &e) {
             out.error = e.what();
         } catch (...) {
             out.error = "unknown exception";
         }
+        if (cell.release)
+            cell.release();
+        if (finished)
+            break;
         out.status = CellStatus::Failed;
         if (static_cast<uint64_t>(attempt) >
             resilience_.retry_budget)
@@ -736,6 +743,9 @@ ExperimentEngine::run(TelemetryScope root)
             runCell(cells[i], i, shards.shard(i), run_deadline);
         },
         cancel_);
+    for (Cell &cell : cells)
+        if (cell.release)
+            cell.release();
     shards.mergeIntoRoot();
     if (root) {
         uint64_t ok = 0, failed = 0, timed_out = 0, cancelled = 0,

@@ -106,6 +106,11 @@ class ExperimentEngine
      * a StopFlag it should poll at natural checkpoints. `save`/`load`
      * serialize the cell's result slot for journaling/resume; either
      * may be null, which just disables checkpointing for that cell.
+     * `release` (may be null; must be idempotent) drops whatever
+     * the cell holds on state shared with other cells: it is called
+     * after every attempt, whether the body ran or the fault hook
+     * threw, when the cell is replayed, and for every cell once the
+     * run ends.
      */
     struct Cell
     {
@@ -113,6 +118,7 @@ class ExperimentEngine
         std::function<void(TelemetryScope, StopFlag *)> body;
         std::function<JsonValue()> save;
         std::function<bool(const JsonValue &)> load;
+        std::function<void()> release;
         bool replayed = false; //!< load()ed; body will not run
     };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sim/experiment.hh"
+#include "sim/frontend_tape.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 
@@ -89,16 +90,26 @@ appendMatrixJobs(ExperimentEngine &engine,
                  uint64_t warmup, uint64_t capacity_divisor,
                  uint64_t seed, const ProtectionPolicy &protection)
 {
-    // Every (workload, option) cell is an independent simulation:
-    // simulate() builds its own hierarchy and RNG state per call and
-    // only reads the shared error model (const, stateless for the
-    // models used here). Cells are fanned out over the global pool
-    // and written into pre-sized slots, so the output ordering — and
-    // every result bit — is independent of the worker count.
+    // Every (workload, option) cell is an independent simulation of
+    // its own back end (L3, racetrack bank, DRAM) that only reads
+    // the shared error model (const, stateless for the models used
+    // here). The L1/L2 outcome stream does not depend on the LLC,
+    // so a workload's cells replay one shared front-end tape. Cells
+    // are fanned out over the global pool and written into pre-sized
+    // slots, so the output ordering — and every result bit — is
+    // independent of the worker count.
     rows->resize(profiles.size());
+    std::vector<std::shared_ptr<FrontEndTape>> tapes;
     for (size_t w = 0; w < profiles.size(); ++w) {
         (*rows)[w].profile = profiles[w];
         (*rows)[w].results.resize(options.size());
+        if (!options.empty())
+            tapes.push_back(std::make_shared<FrontEndTape>(
+                scaledProfile(profiles[w], capacity_divisor), seed,
+                matrixCellConfig(options[0], requests, warmup,
+                                 capacity_divisor, seed, protection)
+                    .hierarchy,
+                warmup + requests, options.size()));
     }
     const size_t cells = profiles.size() * options.size();
     const double matrix_start = telemetryNowSeconds();
@@ -106,24 +117,24 @@ appendMatrixJobs(ExperimentEngine &engine,
         const size_t w = cell / options.size();
         const size_t o = cell % options.size();
         const LlcOption opt = options[o];
-        const WorkloadProfile profile = profiles[w];
+        const std::string name = profiles[w].name;
+        auto claim = std::make_shared<TapeClaim>(tapes[w]);
         SimResult *slot = &(*rows)[w].results[o];
         ExperimentEngine::Cell job;
-        job.label = profile.name + "/" + opt.label;
-        job.body = [slot, opt, profile, model, requests, warmup,
+        job.label = name + "/" + opt.label;
+        job.body = [slot, opt, name, claim, model, requests, warmup,
                     capacity_divisor, seed, matrix_start, cell,
                     protection](TelemetryScope shard,
                                 StopFlag *stop) {
             ScopedPhase cell_phase("runner.cell");
-            WorkloadProfile run_profile =
-                scaledProfile(profile, capacity_divisor);
             SimConfig cfg =
                 matrixCellConfig(opt, requests, warmup,
                                  capacity_divisor, seed, protection);
             cfg.telemetry = shard;
             cfg.stop = stop;
             const double t0 = shard ? telemetryNowSeconds() : 0.0;
-            *slot = simulate(run_profile, cfg, model);
+            *slot = simulateOnTape(name, claim->tape(), claim->spend(),
+                                   cfg, model);
             if (shard) {
                 const double wall = telemetryNowSeconds() - t0;
                 shard->histogram("runner.cell_wall_ms",
@@ -136,12 +147,13 @@ appendMatrixJobs(ExperimentEngine &engine,
                              wall * 1e6, static_cast<double>(cell));
             }
         };
-        job.save = [slot, profile, opt] {
-            return simResultToJson(profile.name, opt, *slot);
+        job.save = [slot, name, opt] {
+            return simResultToJson(name, opt, *slot);
         };
         job.load = [slot](const JsonValue &doc) {
             return simResultFromJson(doc, slot);
         };
+        job.release = [claim] { claim->release(); };
         engine.addCell(std::move(job));
     }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/frontend_tape.hh"
 #include "util/logging.hh"
 
 namespace rtm
@@ -28,19 +29,27 @@ SimResult::shiftsPerAccess() const
 namespace
 {
 
+/** True when two configurations model the same private levels. */
+bool
+sameFrontEnd(const HierarchyConfig &a, const HierarchyConfig &b)
+{
+    return a.cores == b.cores && a.l1_ways == b.l1_ways &&
+           a.l2_ways == b.l2_ways && a.line_bytes == b.line_bytes &&
+           a.capacity_divisor == b.capacity_divisor;
+}
+
 /**
- * Core simulation loop shared by the synthetic and trace-replay
- * front-ends: `next` yields the request stream.
+ * Core simulation loop: replays a front-end tape's records through
+ * this configuration's back end.
  */
-template <typename NextFn>
 SimResult
 runSim(const std::string &name, const SimConfig &config,
-       const PositionErrorModel *model, NextFn &&next)
+       const PositionErrorModel *model, TapeReader &tape)
 {
     HierarchyConfig hcfg = config.hierarchy;
     if (config.telemetry)
         hcfg.telemetry = config.telemetry;
-    Hierarchy hierarchy(hcfg, model);
+    BackEnd back(hcfg, model);
 
     // Per-core local time; the simulator interleaves requests
     // round-robin and advances each core independently, then takes
@@ -65,23 +74,23 @@ runSim(const std::string &name, const SimConfig &config,
             if (config.stop && i % kStopPollStride == 0 &&
                 config.stop->poll())
                 return res;
-            const MemRequest &req = next();
+            const TapeRecord req = tape.next();
             auto c = static_cast<size_t>(req.core);
-            core_time[c] += req.gap_instructions;
-            HierarchyAccess acc = hierarchy.access(
-                req.core, req.addr, req.is_write, core_time[c]);
+            core_time[c] += req.gap;
+            HierarchyAccess acc =
+                back.access(req.fe, req.addr, req.is_write, core_time[c]);
             core_time[c] += acc.latency;
         }
     }
 
     // Snapshot counters after warmup so deltas are measured.
-    uint64_t warm_l3_acc = hierarchy.l3().stats().accesses();
-    uint64_t warm_l3_miss = hierarchy.l3().stats().misses();
-    uint64_t warm_dram = hierarchy.dramAccesses();
-    Joules warm_dram_energy = hierarchy.dramEnergy();
+    uint64_t warm_l3_acc = back.l3().stats().accesses();
+    uint64_t warm_l3_miss = back.l3().stats().misses();
+    uint64_t warm_dram = back.dramAccesses();
+    Joules warm_dram_energy = back.dramEnergy();
     RmBankStats warm_rm;
-    if (hierarchy.rmBank())
-        warm_rm = hierarchy.rmBank()->stats();
+    if (back.rmBank())
+        warm_rm = back.rmBank()->stats();
     std::vector<Cycles> start_time = core_time;
 
     // Telemetry hooks on the measured loop: an access-latency
@@ -103,13 +112,13 @@ runSim(const std::string &name, const SimConfig &config,
             if (config.stop && i % kStopPollStride == 0 &&
                 config.stop->poll())
                 return res;
-            const MemRequest &req = next();
+            const TapeRecord req = tape.next();
             auto c = static_cast<size_t>(req.core);
-            core_time[c] += req.gap_instructions;
-            res.instructions += req.gap_instructions + 1;
+            core_time[c] += req.gap;
+            res.instructions += req.gap + 1;
             ++res.mem_ops;
-            HierarchyAccess acc = hierarchy.access(
-                req.core, req.addr, req.is_write, core_time[c]);
+            HierarchyAccess acc =
+                back.access(req.fe, req.addr, req.is_write, core_time[c]);
             core_time[c] += acc.latency;
             dynamic_energy += acc.energy;
             if (t) {
@@ -139,15 +148,15 @@ runSim(const std::string &name, const SimConfig &config,
     res.seconds = cyclesToSeconds(res.cycles);
 
     res.cache_dynamic_energy = dynamic_energy;
-    res.dram_energy = hierarchy.dramEnergy() - warm_dram_energy;
-    res.leakage_energy = hierarchy.totalLeakageWatts() * res.seconds;
+    res.dram_energy = back.dramEnergy() - warm_dram_energy;
+    res.leakage_energy = back.totalLeakageWatts() * res.seconds;
 
-    res.llc_accesses = hierarchy.l3().stats().accesses() -
+    res.llc_accesses = back.l3().stats().accesses() -
                        warm_l3_acc;
-    res.llc_misses = hierarchy.l3().stats().misses() - warm_l3_miss;
-    res.dram_accesses = hierarchy.dramAccesses() - warm_dram;
+    res.llc_misses = back.l3().stats().misses() - warm_l3_miss;
+    res.dram_accesses = back.dramAccesses() - warm_dram;
 
-    if (const RmBank *bank = hierarchy.rmBank()) {
+    if (const RmBank *bank = back.rmBank()) {
         const RmBankStats &s = bank->stats();
         res.shift_ops = s.shift_ops - warm_rm.shift_ops;
         res.shift_steps = s.shift_steps - warm_rm.shift_steps;
@@ -197,11 +206,12 @@ runSim(const std::string &name, const SimConfig &config,
             .add(res.migration_steps);
         t->gauge("sim.ipc").set(res.ipc());
         t->gauge("sim.seconds").set(res.seconds);
-        hierarchy.exportTelemetry(*t);
+        exportFrontEndTelemetry(*t, tape.l1Totals(), tape.l2Totals());
+        back.exportTelemetry(*t);
     }
     if (config.frame_profile_out) {
         config.frame_profile_out->clear();
-        if (const RmBank *bank = hierarchy.rmBank())
+        if (const RmBank *bank = back.rmBank())
             *config.frame_profile_out = bank->frameAccessCounts();
     }
     return res;
@@ -210,13 +220,25 @@ runSim(const std::string &name, const SimConfig &config,
 } // anonymous namespace
 
 SimResult
+simulateOnTape(const std::string &name, FrontEndTape &tape,
+               bool claimed, const SimConfig &config,
+               const PositionErrorModel *model)
+{
+    TapeReader reader(tape, claimed, config.telemetry);
+    if (!sameFrontEnd(tape.config(), config.hierarchy) ||
+        tape.requests() !=
+            config.warmup_requests + config.mem_requests)
+        rtm_panic("simulateOnTape: tape does not fit the config");
+    return runSim(name, config, model, reader);
+}
+
+SimResult
 simulate(const WorkloadProfile &profile, const SimConfig &config,
          const PositionErrorModel *model)
 {
-    WorkloadGenerator gen(profile, config.hierarchy.cores,
-                          config.seed);
-    return runSim(profile.name, config, model,
-                  [&gen] { return gen.next(); });
+    FrontEndTape tape(profile, config.seed, config.hierarchy,
+                      config.warmup_requests + config.mem_requests, 1);
+    return simulateOnTape(profile.name, tape, true, config, model);
 }
 
 SimResult
@@ -225,18 +247,9 @@ simulateTrace(const std::string &name,
               const SimConfig &config,
               const PositionErrorModel *model)
 {
-    if (requests.empty())
-        rtm_fatal("simulateTrace: empty trace");
-    size_t pos = 0;
-    // Return by reference and wrap with a branch: no per-request
-    // MemRequest copy and no modulo on the hot path.
-    auto next = [&requests, &pos]() -> const MemRequest & {
-        const MemRequest &r = requests[pos];
-        if (++pos == requests.size())
-            pos = 0;
-        return r;
-    };
-    return runSim(name, config, model, next);
+    FrontEndTape tape(requests, config.hierarchy,
+                      config.warmup_requests + config.mem_requests, 1);
+    return simulateOnTape(name, tape, true, config, model);
 }
 
 } // namespace rtm

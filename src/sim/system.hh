@@ -123,6 +123,22 @@ struct SimConfig
     std::vector<uint64_t> *frame_profile_out = nullptr;
 };
 
+class FrontEndTape;
+
+/**
+ * Run one configuration over a front-end tape (sim/frontend_tape.hh):
+ * its records replay through a fresh back end (L3, racetrack bank,
+ * DRAM) built from `config`. The tape must model config's L1/L2
+ * geometry over warmup + measured requests.
+ *
+ * @param claimed spend a claim the caller holds on the tape (see
+ *                TapeClaim); otherwise join the tape, or replay a
+ *                private copy if its first chunk is already freed
+ */
+SimResult simulateOnTape(const std::string &name, FrontEndTape &tape,
+                         bool claimed, const SimConfig &config,
+                         const PositionErrorModel *model);
+
 /**
  * Run one workload through one configuration.
  *

@@ -252,9 +252,6 @@ TEST(Campaign, TelemetryReconcilesWithLedgers)
               degraded);
     EXPECT_EQ(telemetry.eventCount(EventKind::FrameRemapped),
               remapped);
-    EXPECT_EQ(counter("campaign.bank.degraded_groups"), degraded);
-    EXPECT_EQ(counter("campaign.bank.due_reports"), bank_due);
-    EXPECT_EQ(counter("campaign.bank.remapped_accesses"), remapped);
     EXPECT_EQ(counter("mem.rm_bank.due_reports"), bank_due);
     EXPECT_EQ(counter("mem.rm_bank.groups_retired"), degraded);
     EXPECT_EQ(counter("mem.rm_bank.remapped_accesses"), remapped);

@@ -15,23 +15,35 @@
  *     against constants captured at pin time and across thread
  *     counts. Regenerate with RTM_UPDATE_GOLDEN=1 (the test prints
  *     the new constants and fails so stale pins cannot linger).
+ *
+ * Section 5 holds the shared front-end tapes to the same standard:
+ * a matrix whose cells replay one tape per workload must equal
+ * per-cell referenceSimulate() bit for bit, through resume, retry
+ * and cancellation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/rm_bank.hh"
 #include "model/tech.hh"
 #include "sim/experiment.hh"
+#include "sim/frontend_tape.hh"
 #include "sim/reference.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "trace/workload.hh"
 #include "util/hash.hh"
+#include "util/journal.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -685,6 +697,329 @@ TEST(GoldenSim, FastTierDigestMatchesPinAcrossThreadCounts)
                   "into tests/sim_golden_test.cc and re-run";
     }
     EXPECT_EQ(serial, kGoldenFastMcHash);
+}
+
+// --- 5. shared front-end tapes ---------------------------------------
+
+uint64_t
+bitsOf(double d)
+{
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+}
+
+/** Every SimResult field, doubles compared bit for bit. */
+void
+expectBitIdentical(const SimResult &a, const SimResult &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.workload, b.workload) << what;
+    EXPECT_EQ(a.llc_tech, b.llc_tech) << what;
+    EXPECT_EQ(a.scheme, b.scheme) << what;
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.mem_ops, b.mem_ops) << what;
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(bitsOf(a.seconds), bitsOf(b.seconds)) << what;
+    EXPECT_EQ(bitsOf(a.cache_dynamic_energy),
+              bitsOf(b.cache_dynamic_energy))
+        << what;
+    EXPECT_EQ(bitsOf(a.llc_shift_energy), bitsOf(b.llc_shift_energy))
+        << what;
+    EXPECT_EQ(bitsOf(a.dram_energy), bitsOf(b.dram_energy)) << what;
+    EXPECT_EQ(bitsOf(a.leakage_energy), bitsOf(b.leakage_energy))
+        << what;
+    EXPECT_EQ(a.llc_accesses, b.llc_accesses) << what;
+    EXPECT_EQ(a.llc_misses, b.llc_misses) << what;
+    EXPECT_EQ(a.dram_accesses, b.dram_accesses) << what;
+    EXPECT_EQ(a.shift_ops, b.shift_ops) << what;
+    EXPECT_EQ(a.shift_steps, b.shift_steps) << what;
+    EXPECT_EQ(a.shift_cycles, b.shift_cycles) << what;
+    EXPECT_EQ(a.migrations, b.migrations) << what;
+    EXPECT_EQ(a.migration_steps, b.migration_steps) << what;
+    EXPECT_EQ(a.redundancy_accesses, b.redundancy_accesses) << what;
+    EXPECT_EQ(a.redundancy_steps, b.redundancy_steps) << what;
+    EXPECT_EQ(bitsOf(a.sdc_mttf), bitsOf(b.sdc_mttf)) << what;
+    EXPECT_EQ(bitsOf(a.due_mttf), bitsOf(b.due_mttf)) << what;
+}
+
+/** Three workloads x the standard options: 21 cells, 3 tapes. */
+ExperimentSpec
+tapeSpec()
+{
+    ExperimentSpec spec;
+    spec.matrix.requests = kGoldenRequests;
+    spec.matrix.warmup = kGoldenWarmup;
+    spec.matrix.divisor = kGoldenDivisor;
+    spec.matrix.workloads = {"canneal", "swaptions", "x264"};
+    normalizeExperimentSpec(&spec);
+    return spec;
+}
+
+/** Each cell of `spec` simulated alone on the seed reference. */
+std::vector<WorkloadMatrixRow>
+referenceMatrix(const ExperimentSpec &spec,
+                const PositionErrorModel *model)
+{
+    const MatrixSpec &m = spec.matrix;
+    std::vector<WorkloadMatrixRow> rows;
+    for (const std::string &name : m.workloads) {
+        WorkloadMatrixRow row;
+        row.profile = parsecProfile(name);
+        const WorkloadProfile scaled =
+            scaledProfile(row.profile, m.divisor);
+        for (const LlcOption &opt : m.options)
+            row.results.push_back(referenceSimulate(
+                scaled,
+                matrixCellConfig(opt, m.requests, m.warmup, m.divisor,
+                                 m.seed, spec.protection),
+                model));
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+void
+expectMatrixBitIdentical(const std::vector<WorkloadMatrixRow> &got,
+                         const std::vector<WorkloadMatrixRow> &want,
+                         const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t w = 0; w < got.size(); ++w) {
+        ASSERT_EQ(got[w].results.size(), want[w].results.size());
+        for (size_t o = 0; o < got[w].results.size(); ++o)
+            expectBitIdentical(got[w].results[o], want[w].results[o],
+                               what + " " + want[w].profile.name +
+                                   " option " + std::to_string(o));
+    }
+}
+
+uint64_t
+frontEndRequests(const Telemetry &t)
+{
+    auto it = t.counters().find("sim.frontend.requests");
+    return it == t.counters().end() ? 0 : it->second.value();
+}
+
+TEST(GoldenTape, SharedTapeMatrixMatchesReferenceSimulate)
+{
+    const ExperimentSpec spec = tapeSpec();
+    PaperCalibratedErrorModel model;
+    const auto want = referenceMatrix(spec, &model);
+    const uint64_t stream = kGoldenWarmup + kGoldenRequests;
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        Telemetry telemetry(1 << 10);
+        ExperimentResult res = runExperiment(spec, &model, &telemetry);
+        ASSERT_TRUE(res.complete());
+        expectMatrixBitIdentical(res.matrix, want,
+                                 std::to_string(threads) + "t");
+        // One front end per workload, however many options.
+        EXPECT_EQ(frontEndRequests(telemetry),
+                  spec.matrix.workloads.size() * stream);
+        EXPECT_EQ(telemetry.counters().at("sim.requests").value(),
+                  res.cells * kGoldenRequests);
+        EXPECT_EQ(tapeCensus().live_tapes, 0u);
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+}
+
+TEST(GoldenTape, ResumeFromJournalHoldingPartOfAWorkload)
+{
+    const ExperimentSpec spec = tapeSpec();
+    PaperCalibratedErrorModel model;
+    const std::string full_path =
+        std::string(::testing::TempDir()) + "tape_full.jsonl";
+    const std::string part_path =
+        std::string(::testing::TempDir()) + "tape_part.jsonl";
+    std::remove(full_path.c_str());
+    std::remove(part_path.c_str());
+
+    RunControl stream;
+    stream.stream_path = full_path;
+    const ExperimentResult full =
+        runExperiment(spec, &model, {}, stream);
+    ASSERT_TRUE(full.complete());
+
+    // Keep every record but cells 1 and 5 of the first workload and
+    // cell 3 of the second: the third workload replays in full.
+    JournalFile journal;
+    std::string error;
+    ASSERT_TRUE(readJournal(full_path, &journal, &error)) << error;
+    const size_t options = spec.matrix.options.size();
+    const std::vector<size_t> rerun = {1, 5, options + 3};
+    {
+        JournalWriter writer;
+        ASSERT_TRUE(writer.open(part_path, false, &error)) << error;
+        writer.appendHeader(journal.header);
+        for (const JournalRecord &r : journal.records)
+            if (std::find(rerun.begin(), rerun.end(), r.index) ==
+                rerun.end())
+                writer.appendRecord(r);
+        ASSERT_TRUE(writer.close());
+    }
+
+    ThreadPool::setGlobalThreads(1);
+    resetTapePeaks();
+    Telemetry telemetry(1 << 10);
+    RunControl resume;
+    resume.resume_path = part_path;
+    const ExperimentResult res =
+        runExperiment(spec, &model, &telemetry, resume);
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+
+    ASSERT_TRUE(res.complete());
+    EXPECT_EQ(res.ok_cells, rerun.size());
+    EXPECT_EQ(res.replayed_cells, res.cells - rerun.size());
+    expectMatrixBitIdentical(res.matrix, full.matrix, "resumed");
+    // Two workloads had cells to run; the replayed cells dropped
+    // their claims up front, so at one thread the first tape was
+    // gone before the second was produced.
+    EXPECT_EQ(frontEndRequests(telemetry),
+              2 * (kGoldenWarmup + kGoldenRequests));
+    EXPECT_EQ(tapeCensus().peak_live_tapes, 1u);
+    EXPECT_EQ(tapeCensus().live_tapes, 0u);
+    std::remove(full_path.c_str());
+    std::remove(part_path.c_str());
+}
+
+TEST(GoldenTape, RetryAfterChunksWereFreedReplaysAPrivateTape)
+{
+    ExperimentSpec spec = tapeSpec();
+    spec.resilience.retry_budget = 1;
+    spec.resilience.backoff_ms = 1;
+    PaperCalibratedErrorModel model;
+    const ExperimentResult clean = runExperiment(spec, &model);
+    ASSERT_TRUE(clean.complete());
+
+    // The first workload's last option fails its first attempt.
+    const size_t failing = spec.matrix.options.size() - 1;
+    const uint64_t stream = kGoldenWarmup + kGoldenRequests;
+    RunControl control;
+    control.fault_hook = [failing](size_t index, int attempt) {
+        if (index == failing && attempt == 1)
+            throw std::runtime_error("injected first-attempt fault");
+    };
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        Telemetry telemetry(1 << 10);
+        const ExperimentResult res =
+            runExperiment(spec, &model, &telemetry, control);
+        ASSERT_TRUE(res.complete());
+        EXPECT_EQ(res.outcomes[failing].attempts, 2);
+        expectMatrixBitIdentical(res.matrix, clean.matrix,
+                                 std::to_string(threads) + "t retry");
+        const uint64_t shared =
+            spec.matrix.workloads.size() * stream;
+        if (threads == 1) {
+            // Every other cell of the workload had passed every
+            // chunk, so the failed attempt's released claim freed
+            // the tape and the retry produced its stream privately.
+            EXPECT_EQ(frontEndRequests(telemetry), shared + stream);
+        } else {
+            const uint64_t got = frontEndRequests(telemetry);
+            EXPECT_TRUE(got == shared || got == shared + stream)
+                << got;
+        }
+        EXPECT_EQ(tapeCensus().live_tapes, 0u);
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+}
+
+TEST(GoldenTape, WideAddressesAndLongGapsReplayExactly)
+{
+    // A trace with line indices at and above 2^32 and gaps past the
+    // record's gap field takes the tape's escape paths; replaying it
+    // must equal the request-by-request hierarchy loop.
+    Rng rng(11);
+    std::vector<MemRequest> trace;
+    for (int i = 0; i < 30000; ++i) {
+        MemRequest r;
+        r.core = static_cast<int>(rng.uniformInt(4));
+        r.addr = rng.uniformInt(1u << 16) * 64 + rng.uniformInt(64);
+        if (i % 7 == 0)
+            r.addr += 1ull << 45;
+        r.is_write = rng.bernoulli(0.3);
+        r.gap_instructions =
+            i % 13 == 0 ? 70000 + static_cast<uint32_t>(i)
+                        : static_cast<uint32_t>(rng.uniformInt(20));
+        trace.push_back(r);
+    }
+    PaperCalibratedErrorModel model;
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = MemTech::Racetrack;
+    cfg.hierarchy.capacity_divisor = kGoldenDivisor;
+    cfg.warmup_requests = 0;
+    cfg.mem_requests = 2 * trace.size() + 123; // wraps the trace
+    const SimResult got = simulateTrace("wide", trace, cfg, &model);
+
+    Hierarchy h(cfg.hierarchy, &model);
+    std::vector<Cycles> now(4, 0);
+    Joules energy = 0.0;
+    uint64_t instructions = 0;
+    for (uint64_t i = 0; i < cfg.mem_requests; ++i) {
+        const MemRequest &r = trace[i % trace.size()];
+        auto c = static_cast<size_t>(r.core);
+        now[c] += r.gap_instructions;
+        instructions += r.gap_instructions + 1;
+        HierarchyAccess acc = h.access(r.core, r.addr, r.is_write, now[c]);
+        now[c] += acc.latency;
+        energy += acc.energy;
+    }
+    EXPECT_EQ(got.cycles, *std::max_element(now.begin(), now.end()));
+    EXPECT_EQ(got.instructions, instructions);
+    EXPECT_EQ(bitsOf(got.cache_dynamic_energy), bitsOf(energy));
+    EXPECT_EQ(got.llc_accesses, h.l3().stats().accesses());
+    EXPECT_EQ(got.shift_steps, h.rmBank()->stats().shift_steps);
+}
+
+TEST(GoldenTape, CancelWhileProducingLeavesNoTapeBehind)
+{
+    ExperimentSpec spec;
+    spec.matrix.requests = 400000;
+    spec.matrix.warmup = 0;
+    spec.matrix.divisor = kGoldenDivisor;
+    spec.matrix.workloads = {"canneal"};
+    spec.matrix.options = {
+        {"SRAM", MemTech::SRAM, Scheme::Baseline},
+        {"RM adaptive", MemTech::Racetrack, Scheme::PeccSAdaptive},
+        {"RM worst", MemTech::Racetrack, Scheme::PeccSWorst},
+    };
+    normalizeExperimentSpec(&spec);
+    PaperCalibratedErrorModel model;
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        // Cancel once the tape has two chunks: its producer is then
+        // part-way through a 98-chunk stream.
+        const uint64_t start = tapeCensus().records;
+        CancelToken cancel;
+        std::atomic<bool> finished{false};
+        std::thread watcher([&] {
+            while (!finished.load()) {
+                if (tapeCensus().records >=
+                    start + 2 * FrontEndTape::kChunkRequests) {
+                    cancel.requestCancel();
+                    return;
+                }
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(50));
+            }
+        });
+        RunControl control;
+        control.cancel = &cancel;
+        const ExperimentResult res =
+            runExperiment(spec, &model, {}, control);
+        finished = true;
+        watcher.join();
+        EXPECT_TRUE(res.interrupted) << threads << "t";
+        EXPECT_FALSE(res.complete());
+        EXPECT_GT(res.cancelled_cells, 0u);
+        for (const CellOutcome &o : res.outcomes)
+            EXPECT_TRUE(o.status == CellStatus::Cancelled ||
+                        o.status == CellStatus::Ok);
+        EXPECT_EQ(tapeCensus().live_tapes, 0u);
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }
 
 } // namespace
