@@ -674,8 +674,6 @@ ExperimentEngine::runCell(Cell &cell, size_t index,
         } catch (...) {
             out.error = "unknown exception";
         }
-        if (cell.release)
-            cell.release();
         if (finished)
             break;
         out.status = CellStatus::Failed;
@@ -696,6 +694,8 @@ ExperimentEngine::runCell(Cell &cell, size_t index,
             delay_ms -= slice;
         }
     }
+    if (cell.release)
+        cell.release();
     out.attempts = attempt;
     out.wall_ms = (monotonicSeconds() - t0) * 1e3;
     if (out.status == CellStatus::Ok && journal_ && cell.save) {
@@ -743,9 +743,12 @@ ExperimentEngine::run(TelemetryScope root)
             runCell(cells[i], i, shards.shard(i), run_deadline);
         },
         cancel_);
-    for (Cell &cell : cells)
-        if (cell.release)
-            cell.release();
+    // A cell runCell saw has at least one attempt; release the
+    // ones the cancel left unclaimed.
+    for (size_t i = 0; i < cells.size(); ++i)
+        if (cells[i].release && !cells[i].replayed &&
+            outcomes_[i].attempts == 0)
+            cells[i].release();
     shards.mergeIntoRoot();
     if (root) {
         uint64_t ok = 0, failed = 0, timed_out = 0, cancelled = 0,

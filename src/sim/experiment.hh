@@ -106,11 +106,11 @@ class ExperimentEngine
      * a StopFlag it should poll at natural checkpoints. `save`/`load`
      * serialize the cell's result slot for journaling/resume; either
      * may be null, which just disables checkpointing for that cell.
-     * `release` (may be null; must be idempotent) drops whatever
-     * the cell holds on state shared with other cells: it is called
-     * after every attempt, whether the body ran or the fault hook
-     * threw, when the cell is replayed, and for every cell once the
-     * run ends.
+     * `release` (may be null) drops whatever the cell holds on
+     * state shared with other cells. It is called exactly once, when
+     * the cell will not run again: after its final attempt, when it
+     * is replayed, or at the end of the run for a cell never
+     * claimed.
      */
     struct Cell
     {
@@ -137,18 +137,6 @@ class ExperimentEngine
 
     /** Queue one cell. */
     void addCell(Cell cell) { cells_.push_back(std::move(cell)); }
-
-    /**
-     * Queue a legacy cell that ignores cancellation and cannot be
-     * checkpointed. The body receives its telemetry shard.
-     */
-    void addJob(std::function<void(TelemetryScope)> body)
-    {
-        Cell cell;
-        cell.body = [b = std::move(body)](TelemetryScope t,
-                                          StopFlag *) { b(t); };
-        addCell(std::move(cell));
-    }
 
     size_t jobCount() const { return cells_.size(); }
 

@@ -1,23 +1,29 @@
 /**
  * @file
- * Front-end tapes: a workload's private-level outcome stream,
- * produced once and replayed by every LLC option.
+ * Front-end streams and tapes: a workload's private-level outcome
+ * stream, run live for one LLC option or recorded once and replayed
+ * by several.
  *
  * L1/L2 state and request gaps never depend on the LLC, so the
  * stream of (core, gap, L1/L2 outcome, L2-miss address, dirty L2
  * victim) is a pure function of (profile, seed, L1/L2 geometry). A
- * FrontEndTape owns the request source (workload generator or trace
- * cursor) and the FrontEnd caches, and records that stream as
- * compact per-request records in chunks of kChunkRequests. Each
- * reader replays the records through its own BackEnd (sim/system.hh).
+ * FrontEndStream owns the request source (workload generator or
+ * trace cursor) and the FrontEnd caches and yields that stream one
+ * record at a time; simulate(), simulateTrace() and one-option
+ * matrix workloads read it directly (sim/system.hh).
  *
- * Production is lazy and shared: whichever reader reaches an
- * unproduced chunk produces it under the tape's lock. Every chunk
- * counts the readers that have yet to pass it — attached readers and
- * claims not yet spent — and is freed when that count reaches zero;
- * the producer state is freed with the last chunk. A tape with one
- * claim (simulate(), simulateTrace()) therefore retains nothing
- * behind its reader.
+ * A FrontEndTape records a generator stream for a workload with
+ * several LLC options, as compact per-request records in chunks of
+ * kChunkRequests, and each reader replays the records through its
+ * own BackEnd. Production is lazy and append-only: whichever reader
+ * reaches an unproduced chunk produces it under the tape's lock,
+ * and an atomic produced count publishes it, so readers behind the
+ * producer read without a lock. Chunks live as long as the tape: a
+ * reader (a retry too) can start at chunk 0 at any time, and the
+ * whole tape is freed when its last holder drops it. The stream is
+ * freed with the last chunk. A production that throws marks the
+ * tape failed and every reader that reaches an unproduced chunk
+ * throws.
  *
  * Record encoding: 16 bits per request — five outcome flags, the
  * core, and the gap in the bits left (9 bits at 4 cores) — plus a
@@ -31,9 +37,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "mem/hierarchy.hh"
@@ -56,7 +62,7 @@ struct TapeRecord
 /** Process-wide tape census (diagnostics and tests). */
 struct TapeCensus
 {
-    uint64_t live_tapes = 0; //!< tapes holding chunks or a producer
+    uint64_t live_tapes = 0; //!< tapes that have produced a chunk
     uint64_t peak_live_tapes = 0;
     uint64_t live_bytes = 0; //!< allocated chunk bytes
     uint64_t peak_bytes = 0;
@@ -70,7 +76,83 @@ TapeCensus tapeCensus();
 /** Restart the peaks from the current live values. */
 void resetTapePeaks();
 
-/** A workload's front-end outcome stream (see the file comment). */
+/**
+ * A workload's front end run live: the request source plus the
+ * private levels it drives (see the file comment).
+ */
+class FrontEndStream
+{
+  public:
+    /**
+     * @param profile workload profile (already scaled)
+     * @param seed    generator seed
+     * @param config  hierarchy whose front-end geometry to model
+     */
+    FrontEndStream(const WorkloadProfile &profile, uint64_t seed,
+                   const HierarchyConfig &config);
+
+    /**
+     * The requests of a recorded trace, looped (must be non-empty
+     * and outlive the stream).
+     */
+    FrontEndStream(const std::vector<MemRequest> &trace,
+                   const HierarchyConfig &config);
+
+    /**
+     * The next request, as a decoded tape record: a line-aligned
+     * address on an L2 miss, a victim only on a dirty L2 writeback.
+     */
+    TapeRecord next()
+    {
+        ++requests_;
+        return record(gen_ ? gen_->next() : nextTraced());
+    }
+
+    /** Every L1 / L2 summed, after the requests so far. */
+    CacheStats l1Totals() const { return front_.l1Totals(); }
+    CacheStats l2Totals() const { return front_.l2Totals(); }
+
+    /**
+     * Export `sim.frontend.requests` (requests run so far) and the
+     * private levels' counters.
+     */
+    void exportTelemetry(Telemetry &sink) const;
+
+  private:
+    MemRequest nextTraced()
+    {
+        const MemRequest &r = (*trace_)[trace_pos_];
+        if (++trace_pos_ == trace_->size())
+            trace_pos_ = 0;
+        return r;
+    }
+
+    TapeRecord record(const MemRequest &r)
+    {
+        TapeRecord rec;
+        rec.fe = front_.access(r.core, r.addr, r.is_write);
+        rec.gap = r.gap_instructions;
+        rec.core = r.core;
+        rec.is_write = r.is_write;
+        const Addr victim = rec.fe.l2_victim;
+        rec.fe.l2_victim = 0;
+        if (!rec.fe.l1_hit && !rec.fe.l2_hit) {
+            rec.addr = (r.addr >> line_shift_) << line_shift_;
+            if (rec.fe.l2_writeback)
+                rec.fe.l2_victim = victim;
+        }
+        return rec;
+    }
+
+    FrontEnd front_;
+    std::optional<WorkloadGenerator> gen_;
+    const std::vector<MemRequest> *trace_ = nullptr;
+    size_t trace_pos_ = 0;
+    uint64_t requests_ = 0;
+    int line_shift_ = 0; //!< log2(line bytes)
+};
+
+/** A workload's recorded front-end stream (see the file comment). */
 class FrontEndTape
 {
   public:
@@ -83,19 +165,9 @@ class FrontEndTape
      * @param profile workload profile (already scaled)
      * @param seed    generator seed
      * @param config  hierarchy whose front-end geometry to model
-     * @param claims  readers that will attach with a claim
      */
     FrontEndTape(const WorkloadProfile &profile, uint64_t seed,
-                 const HierarchyConfig &config, uint64_t requests,
-                 size_t claims);
-
-    /**
-     * A tape of `requests` requests of a recorded trace (looped;
-     * must be non-empty and outlive the tape).
-     */
-    FrontEndTape(const std::vector<MemRequest> &trace,
-                 const HierarchyConfig &config, uint64_t requests,
-                 size_t claims);
+                 const HierarchyConfig &config, uint64_t requests);
 
     ~FrontEndTape();
 
@@ -104,9 +176,6 @@ class FrontEndTape
 
     uint64_t requests() const { return requests_; }
     const HierarchyConfig &config() const { return config_; }
-
-    /** Drop one unspent claim: that reader will not come. */
-    void releaseClaim();
 
   private:
     friend class TapeReader;
@@ -119,58 +188,35 @@ class FrontEndTape
     {
         std::vector<uint16_t> records;
         std::vector<uint32_t> words;
-        uint32_t gaps = 0;  //!< first escaped gap in `words`
-        bool wide = false;  //!< two words per address
-        size_t readers = 0; //!< readers yet to pass it
+        uint32_t gaps = 0; //!< first escaped gap in `words`
+        bool wide = false; //!< two words per address
         uint64_t bytes() const;
     };
     struct Producer;
 
-    /** Join as a reader at chunk 0; false when that is gone. */
-    bool attach(bool claimed);
     /** Chunk `k`, produced by the caller when it is the first. */
-    const Chunk *acquire(size_t k, Telemetry *sink);
-    /** Chunk `k` if produced (and not freed), else null. */
-    const Chunk *produced(size_t k);
-    /** A reader moved past chunk `k`. */
-    void pass(size_t k);
-    /** A reader at chunk `k` left. */
-    void detach(size_t k);
-
-    Chunk &chunk(size_t k) { return chunks_[k - freed_]; }
+    const Chunk &acquire(size_t k, Telemetry *sink);
     void produce(Chunk &c, uint64_t n);
-    void dropReaders(size_t from);
-    void reclaim();
-    void settleCensus();
 
     WorkloadProfile profile_;
     uint64_t seed_ = 0;
-    const std::vector<MemRequest> *trace_ = nullptr;
     HierarchyConfig config_;
     uint64_t requests_ = 0;
     int line_shift_ = 0; //!< log2(line bytes)
     int gap_shift_ = 0;  //!< first gap bit of a record
 
-    std::mutex mu_;         //!< chunk list and reader counts
-    std::mutex produce_mu_; //!< one producer at a time
+    std::vector<Chunk> chunks_; //!< every chunk, sized up front
+    std::atomic<size_t> produced_{0}; //!< chunks [0, produced_) done
+    std::mutex mu_; //!< production state below
     std::unique_ptr<Producer> producer_;
-    std::deque<Chunk> chunks_; //!< chunks [freed_, produced_)
-    size_t produced_ = 0;
-    size_t freed_ = 0;
-    size_t pending_ = 0; //!< unspent claims
-    size_t active_ = 0;  //!< attached readers
-    bool broken_ = false; //!< a production threw
+    uint64_t bytes_ = 0;  //!< produced chunk bytes
     bool live_ = false;   //!< counted in the census
+    bool failed_ = false; //!< a production threw
     CacheStats l1_total_;
     CacheStats l2_total_;
 };
 
-/**
- * One reader's cursor over a tape. Attaching spends the caller's
- * claim when it holds one; otherwise it joins the tape if no chunk
- * has been freed yet, and replays a private copy of the tape if one
- * has. Leaving (destruction) releases every chunk not yet passed.
- */
+/** One reader's cursor over a tape, from its first record. */
 class TapeReader
 {
   public:
@@ -178,8 +224,7 @@ class TapeReader
      * @param sink receives `sim.frontend.requests` for each chunk
      *             this reader produces (may be null)
      */
-    TapeReader(FrontEndTape &tape, bool claimed, TelemetryScope sink);
-    ~TapeReader();
+    TapeReader(FrontEndTape &tape, TelemetryScope sink);
 
     TapeReader(const TapeReader &) = delete;
     TapeReader &operator=(const TapeReader &) = delete;
@@ -208,9 +253,11 @@ class TapeReader
         return r;
     }
 
-    /** Every L1 / L2 summed, after the tape's last request. */
-    const CacheStats &l1Totals() const { return tape_->l1_total_; }
-    const CacheStats &l2Totals() const { return tape_->l2_total_; }
+    /**
+     * Export the private levels' counters, after the tape's last
+     * record.
+     */
+    void exportTelemetry(Telemetry &sink) const;
 
     /** Record flag bits; the core follows them, then the gap. */
     enum : uint32_t
@@ -234,13 +281,11 @@ class TapeReader
         return index << line_shift_;
     }
 
-    FrontEndTape *tape_;
-    std::unique_ptr<FrontEndTape> own_; //!< private replay, if any
+    FrontEndTape &tape_;
     TelemetryScope sink_;
-    const FrontEndTape::Chunk *chunk_ = nullptr;
     const uint16_t *records_ = nullptr;
     const uint32_t *words_ = nullptr;
-    size_t index_ = 0; //!< chunk this reader is at
+    size_t index_ = 0; //!< next chunk to read
     size_t pos_ = 0;
     size_t end_ = 0;
     size_t addr_pos_ = 0;
@@ -250,36 +295,6 @@ class TapeReader
     int gap_shift_;
     uint32_t core_mask_;
     uint32_t gap_escape_; //!< gap field value: full gap in `words`
-};
-
-/**
- * One cell's claim on its workload's shared tape. The cell's first
- * attempt spends it; release() drops it unspent — a cell replayed
- * from a journal, or an attempt that ended before it read — so the
- * tape never keeps chunks for a reader that will not come.
- */
-class TapeClaim
-{
-  public:
-    explicit TapeClaim(std::shared_ptr<FrontEndTape> tape)
-        : tape_(std::move(tape))
-    {
-    }
-
-    FrontEndTape &tape() const { return *tape_; }
-
-    /** True once: the claim, for a TapeReader to spend. */
-    bool spend() { return held_.exchange(false); }
-
-    void release()
-    {
-        if (spend())
-            tape_->releaseClaim();
-    }
-
-  private:
-    std::shared_ptr<FrontEndTape> tape_;
-    std::atomic<bool> held_{true};
 };
 
 } // namespace rtm

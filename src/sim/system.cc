@@ -39,12 +39,14 @@ sameFrontEnd(const HierarchyConfig &a, const HierarchyConfig &b)
 }
 
 /**
- * Core simulation loop: replays a front-end tape's records through
- * this configuration's back end.
+ * Core simulation loop: runs a front end's records — live from a
+ * FrontEndStream or replayed by a TapeReader — through this
+ * configuration's back end.
  */
+template <class Source>
 SimResult
 runSim(const std::string &name, const SimConfig &config,
-       const PositionErrorModel *model, TapeReader &tape)
+       const PositionErrorModel *model, Source &source)
 {
     HierarchyConfig hcfg = config.hierarchy;
     if (config.telemetry)
@@ -74,7 +76,7 @@ runSim(const std::string &name, const SimConfig &config,
             if (config.stop && i % kStopPollStride == 0 &&
                 config.stop->poll())
                 return res;
-            const TapeRecord req = tape.next();
+            const TapeRecord req = source.next();
             auto c = static_cast<size_t>(req.core);
             core_time[c] += req.gap;
             HierarchyAccess acc =
@@ -112,7 +114,7 @@ runSim(const std::string &name, const SimConfig &config,
             if (config.stop && i % kStopPollStride == 0 &&
                 config.stop->poll())
                 return res;
-            const TapeRecord req = tape.next();
+            const TapeRecord req = source.next();
             auto c = static_cast<size_t>(req.core);
             core_time[c] += req.gap;
             res.instructions += req.gap + 1;
@@ -206,7 +208,7 @@ runSim(const std::string &name, const SimConfig &config,
             .add(res.migration_steps);
         t->gauge("sim.ipc").set(res.ipc());
         t->gauge("sim.seconds").set(res.seconds);
-        exportFrontEndTelemetry(*t, tape.l1Totals(), tape.l2Totals());
+        source.exportTelemetry(*t);
         back.exportTelemetry(*t);
     }
     if (config.frame_profile_out) {
@@ -221,14 +223,13 @@ runSim(const std::string &name, const SimConfig &config,
 
 SimResult
 simulateOnTape(const std::string &name, FrontEndTape &tape,
-               bool claimed, const SimConfig &config,
-               const PositionErrorModel *model)
+               const SimConfig &config, const PositionErrorModel *model)
 {
-    TapeReader reader(tape, claimed, config.telemetry);
     if (!sameFrontEnd(tape.config(), config.hierarchy) ||
         tape.requests() !=
             config.warmup_requests + config.mem_requests)
         rtm_panic("simulateOnTape: tape does not fit the config");
+    TapeReader reader(tape, config.telemetry);
     return runSim(name, config, model, reader);
 }
 
@@ -236,9 +237,8 @@ SimResult
 simulate(const WorkloadProfile &profile, const SimConfig &config,
          const PositionErrorModel *model)
 {
-    FrontEndTape tape(profile, config.seed, config.hierarchy,
-                      config.warmup_requests + config.mem_requests, 1);
-    return simulateOnTape(profile.name, tape, true, config, model);
+    FrontEndStream stream(profile, config.seed, config.hierarchy);
+    return runSim(profile.name, config, model, stream);
 }
 
 SimResult
@@ -247,9 +247,8 @@ simulateTrace(const std::string &name,
               const SimConfig &config,
               const PositionErrorModel *model)
 {
-    FrontEndTape tape(requests, config.hierarchy,
-                      config.warmup_requests + config.mem_requests, 1);
-    return simulateOnTape(name, tape, true, config, model);
+    FrontEndStream stream(requests, config.hierarchy);
+    return runSim(name, config, model, stream);
 }
 
 } // namespace rtm

@@ -126,17 +126,16 @@ struct SimConfig
 class FrontEndTape;
 
 /**
- * Run one configuration over a front-end tape (sim/frontend_tape.hh):
- * its records replay through a fresh back end (L3, racetrack bank,
- * DRAM) built from `config`. The tape must model config's L1/L2
- * geometry over warmup + measured requests.
- *
- * @param claimed spend a claim the caller holds on the tape (see
- *                TapeClaim); otherwise join the tape, or replay a
- *                private copy if its first chunk is already freed
+ * Run one configuration over a workload's front-end tape
+ * (sim/frontend_tape.hh), from its first record: the records replay
+ * through a fresh back end (L3, racetrack bank, DRAM) built from
+ * `config`. The tape must model config's L1/L2 geometry over warmup
+ * + measured requests. Any number of runs may read one tape at once,
+ * and a run may start after others have finished (a retry); the
+ * tape produces each chunk once, for whichever run reaches it first.
  */
 SimResult simulateOnTape(const std::string &name, FrontEndTape &tape,
-                         bool claimed, const SimConfig &config,
+                         const SimConfig &config,
                          const PositionErrorModel *model);
 
 /**

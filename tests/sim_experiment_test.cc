@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -302,13 +303,15 @@ TEST(ExperimentEngine, RunsEveryJobOnceAndMergesShardsInOrder)
     constexpr size_t kJobs = 17;
     std::atomic<int> ran{0};
     for (size_t i = 0; i < kJobs; ++i) {
-        engine.addJob([&ran, i](TelemetryScope scope) {
+        ExperimentEngine::Cell cell;
+        cell.body = [&ran, i](TelemetryScope scope, StopFlag *) {
             ran.fetch_add(1);
             ASSERT_TRUE(scope);
             scope->counter("engine_test.jobs").add(1);
             scope->gauge("engine_test.last_lane")
                 .set(static_cast<double>(i));
-        });
+        };
+        engine.addCell(std::move(cell));
     }
     EXPECT_EQ(engine.jobCount(), kJobs);
 
@@ -323,6 +326,54 @@ TEST(ExperimentEngine, RunsEveryJobOnceAndMergesShardsInOrder)
         static_cast<double>(kJobs - 1));
     // One-shot: the queue was consumed.
     EXPECT_EQ(engine.jobCount(), 0u);
+}
+
+TEST(ExperimentEngine, ReleasesEveryCellExactlyOnce)
+{
+    // Cell 0 fails its first attempt and then succeeds, cell 1 is
+    // replayed from a journal, cell 2 runs and cancels the run, so
+    // cell 3 is never claimed.
+    constexpr size_t kCells = 4;
+    std::atomic<int> released[kCells] = {};
+    CancelToken cancel;
+    ExperimentEngine engine;
+    for (size_t i = 0; i < kCells; ++i) {
+        ExperimentEngine::Cell cell;
+        cell.label = "cell" + std::to_string(i);
+        cell.body = [i, &cancel](TelemetryScope, StopFlag *) {
+            if (i == 2)
+                cancel.requestCancel();
+        };
+        cell.load = [](const JsonValue &) { return true; };
+        cell.release = [&released, i] { released[i].fetch_add(1); };
+        engine.addCell(std::move(cell));
+    }
+    ResilienceSpec resilience;
+    resilience.retry_budget = 1;
+    resilience.backoff_ms = 1;
+    engine.setResilience(resilience);
+    engine.setCancelToken(&cancel);
+    engine.setFaultHook([](size_t index, int attempt) {
+        if (index == 0 && attempt == 1)
+            throw std::runtime_error("injected first-attempt fault");
+    });
+    ASSERT_TRUE(engine.replayCell(1, JsonValue()));
+    EXPECT_EQ(released[1].load(), 1);
+
+    ThreadPool::setGlobalThreads(1);
+    engine.run({});
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+
+    const std::vector<CellOutcome> &out = engine.outcomes();
+    ASSERT_EQ(out.size(), kCells);
+    EXPECT_EQ(out[0].status, CellStatus::Ok);
+    EXPECT_EQ(out[0].attempts, 2);
+    EXPECT_EQ(out[1].status, CellStatus::Skipped);
+    EXPECT_EQ(out[2].status, CellStatus::Ok);
+    EXPECT_EQ(out[3].status, CellStatus::Cancelled);
+    EXPECT_EQ(out[3].attempts, 0);
+    for (size_t i = 0; i < kCells; ++i)
+        EXPECT_EQ(released[i].load(), 1) << "cell " << i;
 }
 
 TEST(ExperimentRun, StressSectionMatchesStandaloneDrill)

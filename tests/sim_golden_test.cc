@@ -872,8 +872,8 @@ TEST(GoldenTape, ResumeFromJournalHoldingPartOfAWorkload)
     EXPECT_EQ(res.ok_cells, rerun.size());
     EXPECT_EQ(res.replayed_cells, res.cells - rerun.size());
     expectMatrixBitIdentical(res.matrix, full.matrix, "resumed");
-    // Two workloads had cells to run; the replayed cells dropped
-    // their claims up front, so at one thread the first tape was
+    // Two workloads had cells to run; the replayed cells let go of
+    // their tapes up front, so at one thread the first tape was
     // gone before the second was produced.
     EXPECT_EQ(frontEndRequests(telemetry),
               2 * (kGoldenWarmup + kGoldenRequests));
@@ -883,7 +883,7 @@ TEST(GoldenTape, ResumeFromJournalHoldingPartOfAWorkload)
     std::remove(part_path.c_str());
 }
 
-TEST(GoldenTape, RetryAfterChunksWereFreedReplaysAPrivateTape)
+TEST(GoldenTape, RetryRereadsTheSharedTape)
 {
     ExperimentSpec spec = tapeSpec();
     spec.resilience.retry_budget = 1;
@@ -909,19 +909,72 @@ TEST(GoldenTape, RetryAfterChunksWereFreedReplaysAPrivateTape)
         EXPECT_EQ(res.outcomes[failing].attempts, 2);
         expectMatrixBitIdentical(res.matrix, clean.matrix,
                                  std::to_string(threads) + "t retry");
-        const uint64_t shared =
-            spec.matrix.workloads.size() * stream;
-        if (threads == 1) {
-            // Every other cell of the workload had passed every
-            // chunk, so the failed attempt's released claim freed
-            // the tape and the retry produced its stream privately.
-            EXPECT_EQ(frontEndRequests(telemetry), shared + stream);
-        } else {
-            const uint64_t got = frontEndRequests(telemetry);
-            EXPECT_TRUE(got == shared || got == shared + stream)
-                << got;
-        }
+        // The retry reads the workload's tape from its first chunk:
+        // every front end still runs exactly once.
+        EXPECT_EQ(frontEndRequests(telemetry),
+                  spec.matrix.workloads.size() * stream)
+            << threads << "t";
         EXPECT_EQ(tapeCensus().live_tapes, 0u);
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+}
+
+TEST(GoldenTape, OneOptionWorkloadsStreamWithoutATape)
+{
+    // rm-backend's shape at test scale: one racetrack option with
+    // adaptive placement and a predictive head, under a regions
+    // policy with an F=8 two-tier region.
+    ExperimentSpec spec = tapeSpec();
+    LlcOption opt{"RM adaptive predictive", MemTech::Racetrack,
+                  Scheme::PeccSAdaptive};
+    opt.placement = PlacementKind::Adaptive;
+    opt.head_policy = HeadPolicy::Predictive;
+    spec.matrix.options = {opt};
+    ExperimentSpec regions = spec;
+    regions.protection.kind = ProtectionScopeKind::AddressRegion;
+    ProtectionRegion cold;
+    cold.begin = 0.25;
+    cold.end = 1.0;
+    cold.domain.codeword_frames = 8;
+    cold.domain.two_tier = true;
+    regions.protection.regions = {cold};
+    // The same option beside a second one replays a shared tape.
+    ExperimentSpec taped = regions;
+    taped.matrix.options.push_back(
+        {"SRAM", MemTech::SRAM, Scheme::Baseline});
+
+    PaperCalibratedErrorModel model;
+    const uint64_t stream = kGoldenWarmup + kGoldenRequests;
+    // The seed reference has no protection domains: it pins the
+    // uniform-policy run, the shared tape pins the regions run.
+    const auto want = referenceMatrix(spec, &model);
+    const ExperimentResult tape_run = runExperiment(taped, &model);
+    ASSERT_TRUE(tape_run.complete());
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        const std::string what = std::to_string(threads) + "t";
+        for (const ExperimentSpec *s : {&spec, &regions}) {
+            const uint64_t records = tapeCensus().records;
+            Telemetry telemetry(1 << 10);
+            const ExperimentResult res =
+                runExperiment(*s, &model, &telemetry);
+            ASSERT_TRUE(res.complete());
+            EXPECT_EQ(tapeCensus().records, records) << what;
+            EXPECT_EQ(frontEndRequests(telemetry),
+                      s->matrix.workloads.size() * stream)
+                << what;
+            if (s == &spec) {
+                expectMatrixBitIdentical(res.matrix, want, what);
+                continue;
+            }
+            for (size_t w = 0; w < res.matrix.size(); ++w)
+                expectBitIdentical(res.matrix[w].results[0],
+                                   tape_run.matrix[w].results[0],
+                                   what + " regions " +
+                                       res.matrix[w].profile.name);
+            EXPECT_GT(res.matrix[0].results[0].redundancy_accesses,
+                      0u);
+        }
     }
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }
@@ -929,8 +982,8 @@ TEST(GoldenTape, RetryAfterChunksWereFreedReplaysAPrivateTape)
 TEST(GoldenTape, WideAddressesAndLongGapsReplayExactly)
 {
     // A trace with line indices at and above 2^32 and gaps past the
-    // record's gap field takes the tape's escape paths; replaying it
-    // must equal the request-by-request hierarchy loop.
+    // record's gap field, streamed, must equal the request-by-request
+    // hierarchy loop.
     Rng rng(11);
     std::vector<MemRequest> trace;
     for (int i = 0; i < 30000; ++i) {
@@ -971,6 +1024,22 @@ TEST(GoldenTape, WideAddressesAndLongGapsReplayExactly)
     EXPECT_EQ(bitsOf(got.cache_dynamic_energy), bitsOf(energy));
     EXPECT_EQ(got.llc_accesses, h.l3().stats().accesses());
     EXPECT_EQ(got.shift_steps, h.rmBank()->stats().shift_steps);
+
+    // A generator with such addresses and gaps takes the tape's
+    // escape paths; replaying its tape must equal the live stream.
+    WorkloadProfile wide = parsecProfile("canneal");
+    wide.working_set_bytes = 1ull << 46;
+    wide.mean_gap = 300.0;
+    cfg.mem_requests = 3 * FrontEndTape::kChunkRequests + 77;
+    const uint64_t record_bytes = tapeCensus().record_bytes;
+    FrontEndTape tape(wide, cfg.seed, cfg.hierarchy, cfg.mem_requests);
+    const SimResult taped =
+        simulateOnTape(wide.name, tape, cfg, &model);
+    expectBitIdentical(taped, simulate(wide, cfg, &model), "wide tape");
+    // Each L3 access is a tape line: two words each in wide chunks,
+    // and the escaped gaps on top.
+    EXPECT_GT(tapeCensus().record_bytes - record_bytes,
+              2 * cfg.mem_requests + 8 * taped.llc_accesses);
 }
 
 TEST(GoldenTape, CancelWhileProducingLeavesNoTapeBehind)
